@@ -87,27 +87,10 @@ from typing import Any, Dict, List, Optional
 
 from .harness import presets as preset_registry
 from .harness.cache import ResultCache, resolve_cache
-from .harness.executor import (EXECUTORS, ProcessPoolExecutor,
-                               SerialExecutor, SweepResult,
-                               default_workers, make_executor)
+from .harness.executor import (SerialExecutor, SweepResult,
+                               default_workers, run_sweep)
 from .harness.runner import TrialError
 from .harness.spec import Sweep, Trial
-
-
-def _executor(workers=None, executor=None):
-    """CLI worker-count handling → an Executor (satellite of the
-    Executor-protocol redesign: the CLI drives executors directly).
-
-    An explicit ``--executor`` name (or ``$REPRO_EXECUTOR``) wins; the
-    historical workers-based pick stays the default.
-    """
-    workers = default_workers() if workers is None else max(1, workers)
-    name = executor or os.environ.get("REPRO_EXECUTOR") or None
-    if name:
-        return make_executor(name, workers=workers)
-    if workers == 1:
-        return SerialExecutor()
-    return ProcessPoolExecutor(workers=workers)
 
 
 def _parse_value(text: str) -> Any:
@@ -153,9 +136,9 @@ def _cmd_sweep(args) -> int:
     sweep = preset.build(quick=args.quick)
     progress = None if args.json else (lambda line: print(line,
                                                           file=sys.stderr))
-    result = _executor(args.workers, executor=args.executor).execute(
-        sweep, cache=_cache_arg(args), force=args.force,
-        progress=progress)
+    result = run_sweep(sweep, workers=args.workers,
+                       cache=_cache_arg(args), force=args.force,
+                       progress=progress)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(result.to_json())
@@ -572,12 +555,8 @@ def _cmd_campaign_worker(args) -> int:
 
     policy = RetryPolicy(attempts=args.net_retries,
                          timeout=args.net_timeout)
-    runner = None
-    if args.executor == "fleet":
-        from .batch.executor import fleet_trial_runner
-        runner = fleet_trial_runner
     return run_worker(
-        args.url, host=args.host, runner=runner, policy=policy,
+        args.url, host=args.host, policy=policy,
         poll=args.poll, max_trials=args.max_trials,
         announce=lambda line: print(line, file=sys.stderr))
 
@@ -594,8 +573,6 @@ def _cmd_bench_perf(args) -> int:
     if not args.no_sweep:
         payload["fig7_quick_sweep"] = perfbench.measure_fig7_quick(
             workers=args.sweep_workers)
-    if args.cores_sweep:
-        payload["cores"] = perfbench.measure_cores_scaling()
     baseline = None
     if args.compare:
         baseline = perfbench.load_payload(args.compare)
@@ -616,9 +593,6 @@ def _cmd_bench_perf(args) -> int:
         sweep = payload["fig7_quick_sweep"]
         print(f"fig7 --quick sweep: {sweep['wall_seconds']:.3f}s "
               f"({sweep['trials']} trials, {sweep['workers']} worker(s))")
-    if "cores" in payload:
-        print()
-        print(perfbench.render_cores(payload["cores"]))
     if baseline is None:
         return 0
     print(f"\ndelta vs {args.compare}:")
@@ -660,11 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"worker processes "
                               f"(default: $REPRO_WORKERS or "
                               f"{default_workers()})")
-    p_sweep.add_argument("--executor", choices=sorted(EXECUTORS),
-                         default=None,
-                         help="execution strategy (default: "
-                              "$REPRO_EXECUTOR, else serial/pool by "
-                              "--workers); all are byte-identical")
     p_sweep.add_argument("--out", help="write canonical result JSON here")
     p_sweep.add_argument("--json", action="store_true",
                          help="print canonical JSON instead of the report")
@@ -931,11 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cworker.add_argument("--net-retries", type=int, default=5,
                            help="attempts per network call before "
                                 "giving up (default 5)")
-    p_cworker.add_argument("--executor", choices=("serial", "fleet"),
-                           default="serial",
-                           help="per-trial compute strategy: fleet "
-                                "batches a trial's core runs through "
-                                "the fleet kernel (byte-identical)")
     p_cworker.set_defaults(func=_cmd_campaign_worker)
 
     p_report = sub.add_parser(
@@ -969,11 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip the fig7 --quick sweep wall-time probe")
     p_bench.add_argument("--sweep-workers", type=int, default=1,
                          help="worker processes for the sweep probe")
-    p_bench.add_argument("--cores-sweep",
-                         action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="measure the fleet-width scaling axis "
-                              "(fig7 --quick lanes at widths 2..16)")
     p_bench.set_defaults(func=_cmd_bench_perf)
     return parser
 

@@ -50,7 +50,7 @@ from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..harness.executor import SweepResult, plan_sweep
+from ..harness.executor import plan_sweep
 from ..harness.spec import Trial
 from ..obs.metrics import get_registry
 from .engine import Campaign
@@ -397,14 +397,8 @@ class CoordinatorState:
         plan = self.plans[sweep_name]
         if any(record is None for record in plan.records):
             return
-        result = SweepResult(
-            name=sweep_name,
-            records=[r for r in plan.records],
-            cached=plan.cached_flags,
-            workers=max(1, len(self.hosts)),
-            elapsed=time.monotonic() - self.started,
-            cache_hits=self.store.hits,
-            cache_misses=len(plan.pending))
+        result = plan.result(workers=max(1, len(self.hosts)),
+                             elapsed=time.monotonic() - self.started)
         self.cdir.write_result(sweep_name, result.to_json())
         self.cdir.append_event({
             "event": "sweep-done", "run": self.run_id,

@@ -491,14 +491,8 @@ class Campaign:
             sweep_started = time.monotonic()
             self._run_plan(plan, run_id, workers, timeout, max_retries,
                            backoff, runner, serial)
-            result = SweepResult(
-                name=plan.sweep.name,
-                records=[r for r in plan.records if r is not None],
-                cached=plan.cached_flags,
-                workers=workers,
-                elapsed=time.monotonic() - sweep_started,
-                cache_hits=store.hits,
-                cache_misses=len(plan.pending))
+            result = plan.result(
+                workers=workers, elapsed=time.monotonic() - sweep_started)
             self.cdir.write_result(plan.sweep.name, result.to_json())
             self.cdir.append_event({
                 "event": "sweep-done", "run": run_id,

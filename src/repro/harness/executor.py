@@ -10,15 +10,11 @@ measurement.  (A trial's ``seed`` is part of its spec and cache key,
 reserved for future stochastic workloads; current runners don't
 consume it.)
 
-Four executors ship today:
+Three executors ship today:
 
 * :class:`SerialExecutor` — everything inline, no processes;
 * :class:`ProcessPoolExecutor` — the classic ``multiprocessing`` pool
   fan-out (byte-identical to the serial path by construction);
-* :class:`repro.batch.FleetExecutor` — the batched struct-of-arrays
-  fleet kernel (``executor="fleet"``): all of a sweep's bare core-runs
-  advance as lanes of one :class:`repro.batch.FleetCore`, deduplicating
-  identical run specs within the batch;
 * :class:`repro.campaign.CampaignExecutor` — journaled, resumable,
   work-stealing execution for large campaigns (crash resume, retries,
   per-trial timeouts, live status).  Campaigns can also shard across
@@ -28,7 +24,12 @@ Four executors ship today:
   remote result store.
 
 ``run_sweep`` remains the convenience entry point: it picks a serial or
-pool executor from the ``workers`` argument exactly as it always has.
+pool executor from the ``workers`` argument.
+
+Trials computed in the calling process share one *run memo* per
+``execute`` call (:func:`repro.harness.runner.run_spec`): identical core
+runs inside ``ipc``/``run`` trials are computed once.  Pool children
+run without it; the records are the same either way.
 
 All cache I/O happens in the parent process: workers only compute.
 """
@@ -46,24 +47,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.metrics import get_registry
 from .cache import CacheBackend, resolve_cache
-from .runner import TrialError, run_trial
+from .runner import RunMemo, TrialError, run_trial
 from .spec import Sweep, Trial
 
 #: Environment variable providing the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment variable naming the default executor (see EXECUTORS).
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Executor names resolvable by :func:`make_executor` (and the CLI's
-#: ``--executor`` flag / ``$REPRO_EXECUTOR``).  ``tools/check_docs.py``
-#: validates every ``executor=<name>`` mentioned in the docs against
-#: this table.
-EXECUTORS = {
-    "serial": "everything inline in the calling process",
-    "pool": "multiprocessing fan-out across worker processes",
-    "fleet": "batched struct-of-arrays fleet kernel (repro.batch)",
-}
 
 _warned_bad_workers = False
 
@@ -183,9 +171,6 @@ def make_record(trial: Trial, result: Dict[str, Any]) -> Dict[str, Any]:
             "spec_hash": trial.spec_hash(), "result": result}
 
 
-_make_record = make_record
-
-
 @dataclass
 class _Plan:
     """Cache-scan outcome shared by every executor: what is already
@@ -197,6 +182,8 @@ class _Plan:
     cached_flags: List[bool]
     pending: List[Tuple[int, Trial]]
     say: Callable[[str], None]
+    #: Core runs already computed by this execution (in-process only).
+    memo: RunMemo = field(default_factory=dict)
 
     def finish(self, index: int, trial: Trial, result: Dict[str, Any]):
         self.records[index] = make_record(trial, result)
@@ -208,6 +195,30 @@ class _Plan:
             labels={"kind": trial.kind}).inc()
         self.say(f"[{index + 1}/{len(self.sweep.trials)}] "
                  f"{trial.label}: done")
+
+    def run_inline(self) -> None:
+        """Compute every pending trial in this process, sharing the
+        plan's run memo across them."""
+        for index, trial in self.pending:
+            begin = time.monotonic()
+            result = run_trial(trial, memo=self.memo)
+            _observe_trial_seconds(time.monotonic() - begin)
+            self.finish(index, trial, result)
+
+    def result(self, workers: int, elapsed: float) -> SweepResult:
+        """The :class:`SweepResult` of this plan once every record is in.
+
+        ``cache_hits`` counts this sweep's own served trials, not the
+        store's lifetime counter (a store may serve many sweeps).
+        """
+        return SweepResult(
+            name=self.sweep.name,
+            records=[r for r in self.records if r is not None],
+            cached=self.cached_flags,
+            workers=workers,
+            elapsed=elapsed,
+            cache_hits=sum(self.cached_flags),
+            cache_misses=len(self.pending))
 
 
 def plan_sweep(sweep: Sweep, cache="auto", force: bool = False,
@@ -240,26 +251,10 @@ def plan_sweep(sweep: Sweep, cache="auto", force: bool = False,
                  cached_flags=cached_flags, pending=pending, say=say)
 
 
-def _timed_run(trial: Trial) -> Dict[str, Any]:
-    """Inline trial execution with a wall-time observation."""
-    begin = time.monotonic()
-    result = run_trial(trial)
+def _observe_trial_seconds(seconds: float) -> None:
     get_registry().histogram(
         "repro_trial_seconds",
-        "Per-trial compute wall time").observe(
-        time.monotonic() - begin)
-    return result
-
-
-def _seal(plan: _Plan, workers: int, started: float) -> SweepResult:
-    return SweepResult(
-        name=plan.sweep.name,
-        records=[r for r in plan.records if r is not None],
-        cached=plan.cached_flags,
-        workers=workers,
-        elapsed=time.monotonic() - started,
-        cache_hits=plan.store.hits if plan.store else 0,
-        cache_misses=len(plan.pending))
+        "Per-trial compute wall time").observe(seconds)
 
 
 class Executor(abc.ABC):
@@ -291,21 +286,22 @@ class SerialExecutor(Executor):
         started = time.monotonic()
         plan = plan_sweep(sweep, cache=cache, force=force,
                           progress=progress)
-        for index, trial in plan.pending:
-            plan.finish(index, trial, _timed_run(trial))
-        return _seal(plan, workers=1, started=started)
+        plan.run_inline()
+        return plan.result(workers=1, elapsed=time.monotonic() - started)
 
 
 def _pool_worker(payload: Tuple[int, Dict[str, Any]]) \
-        -> Tuple[int, Optional[Dict[str, Any]], Optional[str]]:
+        -> Tuple[int, Optional[Dict[str, Any]], Optional[str], float]:
+    """Compute one trial in a pool child; the parent observes the
+    returned wall time (the child's metrics registry is discarded)."""
     index, trial_dict = payload
+    begin = time.monotonic()
     try:
-        return index, run_trial(Trial.from_dict(trial_dict)), None
+        result = run_trial(Trial.from_dict(trial_dict))
     except Exception as exc:   # surfaced in the parent as TrialError
-        return index, None, f"{type(exc).__name__}: {exc}"
-
-
-_worker = _pool_worker
+        return (index, None, f"{type(exc).__name__}: {exc}",
+                time.monotonic() - begin)
+    return index, result, None, time.monotonic() - begin
 
 
 class ProcessPoolExecutor(Executor):
@@ -328,50 +324,33 @@ class ProcessPoolExecutor(Executor):
         plan = plan_sweep(sweep, cache=cache, force=force,
                           progress=progress)
         if len(plan.pending) <= 1 or self.workers == 1:
-            for index, trial in plan.pending:
-                plan.finish(index, trial, _timed_run(trial))
+            plan.run_inline()
         else:
             by_index = {index: trial for index, trial in plan.pending}
             jobs = [(index, trial.to_dict())
                     for index, trial in plan.pending]
             procs = min(self.workers, len(plan.pending))
             with multiprocessing.Pool(processes=procs) as pool:
-                for index, result, error in pool.imap_unordered(
+                for index, result, error, seconds in pool.imap_unordered(
                         _pool_worker, jobs, chunksize=1):
                     if error is not None:
                         pool.terminate()
                         raise TrialError(
                             f"trial {by_index[index].label!r} failed in "
                             f"worker: {error}")
+                    _observe_trial_seconds(seconds)
                     plan.finish(index, by_index[index], result)
-        return _seal(plan, workers=self.workers, started=started)
-
-
-def make_executor(name: str, workers: Optional[int] = None) -> Executor:
-    """Resolve an executor name (see :data:`EXECUTORS`) to an instance.
-
-    ``fleet`` resolves lazily to :class:`repro.batch.FleetExecutor` so
-    the harness package has no import-time dependency on the batch
-    kernel.
-    """
-    if name == "serial":
-        return SerialExecutor()
-    if name == "pool":
-        return ProcessPoolExecutor(workers=workers)
-    if name == "fleet":
-        from ..batch.executor import FleetExecutor
-        return FleetExecutor()
-    raise ValueError(f"unknown executor {name!r} "
-                     f"(known: {', '.join(sorted(EXECUTORS))})")
+        return plan.result(workers=self.workers,
+                           elapsed=time.monotonic() - started)
 
 
 def run_sweep(sweep: Sweep, workers: Optional[int] = None, cache="auto",
               force: bool = False,
-              progress: Optional[Callable[[str], None]] = None,
-              executor: Optional[str] = None) -> SweepResult:
+              progress: Optional[Callable[[str], None]] = None) \
+        -> SweepResult:
     """Execute every trial of ``sweep``; results come back in trial
     order.  Thin wrapper that picks an :class:`Executor` from
-    ``executor``/``workers`` — the stable entry point since PR 1.
+    ``workers`` — the stable entry point.
 
     Parameters
     ----------
@@ -387,19 +366,9 @@ def run_sweep(sweep: Sweep, workers: Optional[int] = None, cache="auto",
         still written back).
     progress:
         Optional callable receiving one line per trial state change.
-    executor:
-        Executor name (see :data:`EXECUTORS`); ``None`` reads
-        ``$REPRO_EXECUTOR`` and otherwise keeps the historical
-        workers-based pick (serial at 1, pool above).  All executors
-        produce byte-identical results, so this only chooses *how* the
-        same answer is computed.
     """
-    name = executor or os.environ.get(EXECUTOR_ENV) or None
     workers = default_workers() if workers is None else max(1, workers)
-    if name:
-        chosen = make_executor(name, workers=workers)
-    else:
-        chosen = SerialExecutor() if workers == 1 \
-            else ProcessPoolExecutor(workers=workers)
+    chosen = SerialExecutor() if workers == 1 \
+        else ProcessPoolExecutor(workers=workers)
     return chosen.execute(sweep, cache=cache, force=force,
                           progress=progress)

@@ -99,13 +99,11 @@ def measure_fig7_quick(workers: int = 1) -> Dict:
     sweep that every CI run and local iteration waits on.
     """
     from . import presets as preset_registry
-    from .executor import ProcessPoolExecutor, SerialExecutor
+    from .executor import run_sweep
 
     sweep = preset_registry.get("fig7").build(quick=True)
-    executor = SerialExecutor() if workers == 1 \
-        else ProcessPoolExecutor(workers=workers)
     start = time.perf_counter()
-    result = executor.execute(sweep, cache=None)
+    result = run_sweep(sweep, workers=workers, cache=None)
     wall = time.perf_counter() - start
     return {
         "preset": "fig7 --quick",
@@ -113,78 +111,6 @@ def measure_fig7_quick(workers: int = 1) -> Dict:
         "workers": workers,
         "wall_seconds": round(wall, 4),
     }
-
-
-#: Fleet widths of the ``cores`` scaling axis (the 2..16 sweep).
-FLEET_WIDTHS: Tuple[int, ...] = (2, 4, 8, 12, 16)
-
-
-def measure_cores_scaling(widths: Tuple[int, ...] = FLEET_WIDTHS) -> Dict:
-    """The ``cores`` axis: N-lane fleet throughput on fig7 --quick.
-
-    For each width N the lane list is the fig7 quick-tier ipc trials
-    replicated cyclically to N lanes.  The serial reference computes
-    every lane individually through :func:`repro.harness.runner.run_trial`
-    (what N independent solo runs cost); the fleet side runs the same
-    lane list through :class:`repro.batch.FleetExecutor` at width N,
-    which batches the lanes and computes each *distinct* spec once
-    (deterministic purity — the same argument behind the result cache).
-    Aggregate throughput is total simulated cycles across all N lanes
-    per wall second, and both sides must agree record-for-record
-    (``identical`` in each point; the fleet tests gate on it too).
-    """
-    from ..batch.executor import FleetExecutor
-    from . import presets as preset_registry
-    from .runner import run_trial
-    from .spec import Sweep
-
-    trials = list(preset_registry.get("fig7").build(quick=True).trials)
-    points: List[Dict] = []
-    for width in widths:
-        lanes = [trials[i % len(trials)] for i in range(width)]
-        start = time.perf_counter()
-        serial_results = [run_trial(t) for t in lanes]
-        serial_wall = time.perf_counter() - start
-        sweep = Sweep(name=f"fig7_quick_x{width}", trials=list(lanes))
-        start = time.perf_counter()
-        fleet = FleetExecutor(width=width).execute(sweep, cache=None)
-        fleet_wall = time.perf_counter() - start
-        fleet_results = [record["result"] for record in fleet.records]
-        aggregate = sum(r["stats_base"]["cycles"] +
-                        r["stats_contender"]["cycles"]
-                        for r in serial_results)
-        speedup = serial_wall / fleet_wall if fleet_wall else 0.0
-        points.append({
-            "width": width,
-            "distinct_trials": len({t.spec_hash() for t in lanes}),
-            "aggregate_cycles": aggregate,
-            "serial_wall_seconds": round(serial_wall, 4),
-            "serial_cycles_per_second": round(aggregate / serial_wall)
-            if serial_wall else 0,
-            "fleet_wall_seconds": round(fleet_wall, 4),
-            "fleet_cycles_per_second": round(aggregate / fleet_wall)
-            if fleet_wall else 0,
-            "speedup": round(speedup, 2),
-            "identical": serial_results == fleet_results,
-        })
-    return {"preset": "fig7 --quick", "lane": "ipc trial",
-            "points": points}
-
-
-def render_cores(axis: Dict) -> str:
-    """Human-readable table of the ``cores`` scaling axis."""
-    lines = [f"fleet scaling ({axis['preset']}, lane = {axis['lane']}):",
-             f"{'width':>6s} {'distinct':>9s} {'agg cycles':>11s} "
-             f"{'serial c/s':>11s} {'fleet c/s':>11s} {'speedup':>8s}"]
-    for point in axis["points"]:
-        flag = "" if point["identical"] else "  MISMATCH!"
-        lines.append(
-            f"{point['width']:>6d} {point['distinct_trials']:>9d} "
-            f"{point['aggregate_cycles']:>11d} "
-            f"{point['serial_cycles_per_second']:>11d} "
-            f"{point['fleet_cycles_per_second']:>11d} "
-            f"{point['speedup']:>7.2f}x{flag}")
-    return "\n".join(lines)
 
 
 def render(payload: Dict) -> str:
@@ -261,10 +187,6 @@ def history_entry(payload: Dict) -> Dict:
     sweep = payload.get("fig7_quick_sweep")
     if sweep:
         entry["fig7_quick_seconds"] = sweep["wall_seconds"]
-    cores = payload.get("cores")
-    if cores:
-        entry["cores"] = {str(point["width"]): point["speedup"]
-                          for point in cores["points"]}
     return entry
 
 

@@ -5,7 +5,11 @@ Every trial kind resolves its named parameters through
 :mod:`repro.harness.registry`, builds fresh simulator objects, runs the
 measurement, and returns plain data.  Nothing here keeps state between
 trials — that is what makes trials safe to fan out across processes and
-to cache by content hash.
+to cache by content hash.  The one exception is opt-in and owned by the
+caller: an in-process executor may hand :func:`run_trial` a *run memo*
+for one sweep execution, so that identical core runs inside ``ipc`` and
+``run`` trials (the shared no-runahead baseline of the §6 cost trials)
+are computed once (see :func:`run_spec`).
 
 Trial kinds and their parameters (all optional unless noted):
 
@@ -56,12 +60,14 @@ registry also resolves the synthetic trace suite (``trace-mcf``,
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict
+import json
+from typing import Any, Dict, NamedTuple, Optional
 
 from ..attack.specrun import SpecRunAttack
 from ..attack.window import measure_window
 from ..channel.extract import extract_secret
 from ..defense.taint_demo import run_fig12
+from ..pipeline.stats import CoreStats
 from .registry import get_workload, make_config, make_controller
 from .spec import TRIAL_KINDS, Trial
 
@@ -140,13 +146,71 @@ def _run_extract(trial: Trial) -> Dict[str, Any]:
     return result.to_dict()
 
 
-def ipc_record(workload, baseline, contender, base, cont) -> Dict[str, Any]:
-    """The deterministic ``ipc`` payload from two finished cores.
+class CoreRun(NamedTuple):
+    """What the ``ipc`` and ``run`` records read of one finished core.
 
-    Shared by the serial runner and the fleet executor
-    (:mod:`repro.batch`): both assemble records through this one
-    function, so batched execution is bit-identical by construction.
+    The run memo stores these, never the :class:`~repro.pipeline.core.Core`
+    itself, so it costs one stats record per distinct run.
     """
+
+    stats: CoreStats
+    halted: bool
+
+
+#: Run memo: :func:`run_spec` key -> finished :class:`CoreRun`.
+RunMemo = Dict[str, CoreRun]
+
+
+def run_spec(params: Dict[str, Any], role: str, default: str) -> str:
+    """Canonical key of one core run of an ``ipc``/``run`` trial.
+
+    It holds every param the run depends on: the workload, the
+    controller named by ``role`` (``runahead``, ``baseline`` or
+    ``contender``, defaulting to ``default``) with its kwargs,
+    ``config_base``/``config`` and the cycle ceiling.  The simulator is
+    deterministic, so two runs with one key are the same computation.
+    """
+    return json.dumps({
+        "workload": params["workload"],
+        "runahead": params.get(role, default),
+        "runahead_kwargs": params.get(f"{role}_kwargs", {}),
+        "config_base": params.get("config_base", "paper"),
+        "config": params.get("config"),
+        "max_cycles": params.get("max_cycles", 5_000_000),
+    }, sort_keys=True)
+
+
+def _core_run(workload, controller, config, params: Dict[str, Any],
+              role: str, default: str, memo: Optional[RunMemo]) -> CoreRun:
+    """Run ``workload`` once, or serve an identical finished run from
+    ``memo``.  A run that raises (it hit its cycle ceiling) is not
+    stored, so every repeat raises the same way."""
+    key = None
+    if memo is not None:
+        key = run_spec(params, role, default)
+        if key in memo:
+            return memo[key]
+    core = workload.run(runahead=controller, config=config,
+                        max_cycles=params.get("max_cycles", 5_000_000))
+    run = CoreRun(core.stats, core.halted)
+    if key is not None:
+        memo[key] = run
+    return run
+
+
+def _run_ipc(trial: Trial, memo: Optional[RunMemo] = None) \
+        -> Dict[str, Any]:
+    params = trial.params
+    workload = get_workload(params["workload"])
+    config = _config_from(params)
+    baseline = make_controller(params.get("baseline", "none"),
+                               **params.get("baseline_kwargs", {}))
+    contender = make_controller(params.get("contender", "original"),
+                                **params.get("contender_kwargs", {}))
+    base = _core_run(workload, baseline, config, params, "baseline",
+                     "none", memo)
+    cont = _core_run(workload, contender, config, params, "contender",
+                     "original", memo)
     speedup = (cont.stats.ipc / base.stats.ipc) if base.stats.ipc else 0.0
     return {
         "workload": workload.name,
@@ -163,35 +227,6 @@ def ipc_record(workload, baseline, contender, base, cont) -> Dict[str, Any]:
     }
 
 
-def workload_record(workload, controller, core) -> Dict[str, Any]:
-    """The deterministic ``run`` payload from one finished core (shared
-    with the fleet executor, like :func:`ipc_record`)."""
-    return {
-        "workload": workload.name,
-        "runahead": controller.name,
-        "halted": core.halted,
-        "cycles": core.stats.cycles,
-        "ipc": core.stats.ipc,
-        "stats": _stats_dict(core.stats),
-    }
-
-
-def _run_ipc(trial: Trial) -> Dict[str, Any]:
-    params = trial.params
-    workload = get_workload(params["workload"])
-    config = _config_from(params)
-    max_cycles = params.get("max_cycles", 5_000_000)
-    baseline = make_controller(params.get("baseline", "none"),
-                               **params.get("baseline_kwargs", {}))
-    contender = make_controller(params.get("contender", "original"),
-                                **params.get("contender_kwargs", {}))
-    base = workload.run(runahead=baseline, config=config,
-                        max_cycles=max_cycles)
-    cont = workload.run(runahead=contender, config=config,
-                        max_cycles=max_cycles)
-    return ipc_record(workload, baseline, contender, base, cont)
-
-
 def _run_window(trial: Trial) -> Dict[str, Any]:
     params = trial.params
     controller = make_controller(params.get("runahead", "none"),
@@ -204,14 +239,22 @@ def _run_window(trial: Trial) -> Dict[str, Any]:
     return dataclasses.asdict(measurement)
 
 
-def _run_workload(trial: Trial) -> Dict[str, Any]:
+def _run_workload(trial: Trial, memo: Optional[RunMemo] = None) \
+        -> Dict[str, Any]:
     params = trial.params
     workload = get_workload(params["workload"])
     controller = make_controller(params.get("runahead", "none"),
                                  **params.get("runahead_kwargs", {}))
-    core = workload.run(runahead=controller, config=_config_from(params),
-                        max_cycles=params.get("max_cycles", 5_000_000))
-    return workload_record(workload, controller, core)
+    run = _core_run(workload, controller, _config_from(params), params,
+                    "runahead", "none", memo)
+    return {
+        "workload": workload.name,
+        "runahead": controller.name,
+        "halted": run.halted,
+        "cycles": run.stats.cycles,
+        "ipc": run.stats.ipc,
+        "stats": _stats_dict(run.stats),
+    }
 
 
 def resolve_verify_target(name: str):
@@ -301,8 +344,18 @@ _RUNNERS = {
 }
 
 
-def run_trial(trial: Trial) -> Dict[str, Any]:
-    """Execute one trial and return its result payload (pure data)."""
+#: Trial kinds whose core runs can be served from a run memo.
+_MEMO_KINDS = frozenset({"ipc", "run"})
+
+
+def run_trial(trial: Trial, memo: Optional[RunMemo] = None) \
+        -> Dict[str, Any]:
+    """Execute one trial and return its result payload (pure data).
+
+    ``memo`` is internal to the in-process executors: a dict owned by
+    one sweep execution that serves repeated identical core runs.
+    The result is the same with or without it.
+    """
     try:
         runner = _RUNNERS[trial.kind]
     except KeyError:
@@ -312,6 +365,8 @@ def run_trial(trial: Trial) -> Dict[str, Any]:
             f"no runner for trial kind {trial.kind!r}; expected one of "
             f"{TRIAL_KINDS}") from None
     try:
+        if memo is not None and trial.kind in _MEMO_KINDS:
+            return runner(trial, memo)
         return runner(trial)
     except TrialError:
         raise

@@ -97,6 +97,15 @@ class TestResume:
         reference = run_sweep(sweep, workers=1, cache=None).to_json()
         assert result.to_json() == reference
 
+    def test_each_sweep_reports_its_own_cache_hits(self, tmp_path):
+        first = window_sweep("a", n=2)
+        second = window_sweep("b", n=1, async_flushes=1)
+        campaign = Campaign.create(tmp_path / "camp", [first, second])
+        run_sweep(first, workers=1, cache=campaign.backend())
+        results = campaign.run(workers=1)
+        assert [r.cache_hits for r in results] == [2, 0]
+        assert [r.cache_misses for r in results] == [0, 1]
+
     def test_executor_adapter_resumes(self, tmp_path):
         sweep = window_sweep()
         executor = CampaignExecutor(tmp_path / "camp", workers=2)

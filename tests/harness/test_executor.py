@@ -13,6 +13,7 @@ from repro.harness.executor import (Executor, ProcessPoolExecutor,
                                     default_workers, run_sweep)
 from repro.harness.runner import TrialError, run_trial
 from repro.harness.spec import Sweep, Trial
+from repro.obs.metrics import get_registry
 
 
 def cheap_sweep(name="cheap") -> Sweep:
@@ -75,6 +76,21 @@ class TestCacheWiring:
         warm = run_sweep(other, workers=1, cache=store)
         assert warm.cache_hits == 1
 
+    def test_cache_hits_count_this_sweep_only(self, tmp_path):
+        """A reused store's lifetime hit counter must not leak into
+        later sweeps' ``cache_hits``."""
+        store = ResultCache(root=tmp_path, code_version="v1")
+        sweep = Sweep("one")
+        sweep.add("taint")
+        described = [SerialExecutor().execute(sweep, cache=store)
+                     .describe() for _ in range(3)]
+        assert [line.split(", ")[:3] for line in described] == [
+            ["sweep one: 1 trials", "0 cached", "1 computed"],
+            ["sweep one: 1 trials", "1 cached", "0 computed"],
+            ["sweep one: 1 trials", "1 cached", "0 computed"]]
+        forced = SerialExecutor().execute(sweep, cache=store, force=True)
+        assert (forced.cache_hits, forced.cache_misses) == (0, 1)
+
 
 class TestFailures:
     def test_unknown_workload_raises_trial_error_inline(self):
@@ -128,6 +144,17 @@ class TestExecutorProtocol:
         assert result.cached == [True, True, True, False]
         assert result.to_json() == \
             SerialExecutor().execute(sweep, cache=store).to_json()
+
+    def test_pool_observes_trial_seconds(self):
+        """Trials computed in pool children still feed the parent's
+        ``repro_trial_seconds`` histogram."""
+        histogram = get_registry().histogram("repro_trial_seconds")
+        before = histogram.count
+        sweep = Sweep("pool")
+        sweep.add("taint")
+        sweep.add("window", runahead="none", sled=8, config_base="small")
+        ProcessPoolExecutor(workers=2).execute(sweep, cache=None)
+        assert histogram.count == before + 2
 
     def test_executor_progress_callback(self):
         lines = []

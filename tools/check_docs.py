@@ -64,9 +64,6 @@ _KEYED_NAME = re.compile(
     r"\b(workload|receiver|corunner|runahead|contender|baseline|defense"
     r"|target)"
     r"=([A-Za-z0-9_.:\-]+)")
-#: ``executor=fleet`` (CLI) and ``executor="fleet"`` (Python) forms
-#: both resolve against the harness executor registry.
-_EXECUTOR_NAME = re.compile(r"\bexecutor=\"?([a-z][a-z0-9\-]*)\"?")
 
 
 def _code_spans(text: str) -> str:
@@ -144,7 +141,6 @@ def _verify_target_ok(name: str) -> bool:
 
 def check_file(path: pathlib.Path) -> List[str]:
     from repro.harness import presets
-    from repro.harness.executor import EXECUTORS
     from repro.harness.registry import CONTROLLERS, get_workload
     from repro.harness.spec import TRIAL_KINDS
     from repro.channel.receiver import RECEIVERS
@@ -174,10 +170,6 @@ def check_file(path: pathlib.Path) -> List[str]:
         if not _verify_target_ok(name):
             problems.append(f"{path.name}: unknown verify target "
                             f"`repro verify {name}`")
-    for name in sorted(set(_EXECUTOR_NAME.findall(code))):
-        if name not in EXECUTORS:
-            problems.append(f"{path.name}: unknown executor "
-                            f"`executor={name}`")
     for group, sub in sorted(set(_GROUP_SUB.findall(code))):
         if sub not in _known_subcommands(group):
             problems.append(f"{path.name}: unknown subcommand "
