@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from ..isa.assembler import assemble
 from ..isa.memory_image import MemoryImage
 from ..pipeline.config import CoreConfig
-from ..pipeline.core import MODE_RUNAHEAD, Core
+from ..pipeline.core import MODE_RUNAHEAD, Core, wake_cycle
 from ..runahead.base import NoRunahead
 from ..runahead.original import OriginalRunahead
 
@@ -90,13 +90,20 @@ class AsyncFlusher:
         self.margin = margin
         self.flushes = 0
 
+    def due(self):
+        """First cycle at which :meth:`poll` fires while the core's state
+        holds, or ``None`` when it cannot fire."""
+        core = self.core
+        checkpoint = core.checkpoint
+        if self.budget <= 0 or core.mode != MODE_RUNAHEAD or \
+                checkpoint is None:
+            return None
+        return checkpoint.stalling_completion - self.margin
+
     def poll(self):
         core = self.core
-        if self.budget <= 0 or core.mode != MODE_RUNAHEAD:
-            return
-        checkpoint = core.checkpoint
-        if checkpoint is None or \
-                checkpoint.stalling_completion - core.cycle > self.margin:
+        due = self.due()
+        if due is None or core.cycle < due:
             return
         core.hierarchy.flush_line(self.line)
         refetch = core.hierarchy.access_data(self.line, core.cycle,
@@ -117,16 +124,22 @@ def measure_window(runahead=None, async_flushes=0, sled=4096, config=None) \
     flusher = AsyncFlusher(core, image.address_of("x_word"),
                            budget=async_flushes)
     max_cycles = 2_000_000
+    cores = (core,)
     while not core.halted and core.cycle < max_cycles:
         core.step()
         flusher.poll()
         if not core._activity and not core.halted:
-            skip_to = core._next_event()
-            if skip_to is None:
+            # A paced schedule polls between its steps too: never jump
+            # past the flusher's next firing.
+            until = max_cycles - 1
+            due = flusher.due()
+            if due is not None and due < until:
+                until = due
+            wake = wake_cycle(cores, until)
+            if wake is None:
                 break
-            if skip_to > core.cycle:
-                core.cycle = skip_to
-                flusher.poll()   # cycle skips may land inside its window
+            core.skip_to(wake)
+            flusher.poll()   # cycle skips may land inside its window
     if not core.halted:
         raise RuntimeError("window probe did not halt")
     core.stats.cycles = core.cycle

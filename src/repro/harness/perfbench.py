@@ -6,6 +6,12 @@ representative kernels (compute-bound ``zeusmp``, pointer-chasing
 ``mcf``, streaming ``gems``); each scenario reports its simulated cycle
 count, best-of-N wall seconds, and the derived cycles/second.
 
+Cycles/second credits cycle skipping as speed, so each scenario also
+reports the cycles the core actually stepped, the skipped share, and
+wall microseconds per stepped cycle and per dispatched instruction.
+The steps are counted in one extra run with ``Core.step`` wrapped in a
+counter; the timed runs never go through the wrapper.
+
 ``python -m repro bench-perf`` emits these measurements as
 ``BENCH_core.json`` at the repo root and can compare a fresh run
 against a committed baseline with a relative tolerance (the CI perf job
@@ -23,6 +29,7 @@ import json
 import time
 from typing import Dict, List, Optional, Tuple
 
+from ..pipeline.core import Core
 from .registry import get_workload, make_controller
 
 #: (bench label, workload name, controller name).
@@ -50,7 +57,7 @@ def measure_scenario(workload_name: str, controller_name: str,
     """
     workload = get_workload(workload_name)
     best_wall: Optional[float] = None
-    cycles = committed = 0
+    cycles = committed = dispatched = 0
     for _ in range(repeats):
         controller = make_controller(controller_name)
         start = time.perf_counter()
@@ -58,16 +65,43 @@ def measure_scenario(workload_name: str, controller_name: str,
         wall = time.perf_counter() - start
         cycles = core.stats.cycles
         committed = core.stats.committed
+        dispatched = core.stats.dispatched
         if best_wall is None or wall < best_wall:
             best_wall = wall
+    steps = count_steps(workload, controller_name)
     return {
         "workload": workload_name,
         "controller": controller_name,
         "simulated_cycles": cycles,
+        "stepped_cycles": steps,
+        "skipped_share": round(1 - steps / cycles, 4) if cycles else 0.0,
         "committed": committed,
+        "dispatched": dispatched,
         "wall_seconds": round(best_wall, 4),
         "cycles_per_second": round(cycles / best_wall) if best_wall else 0,
+        "us_per_stepped_cycle": round(1e6 * best_wall / steps, 3)
+        if steps else 0.0,
+        "us_per_dispatched": round(1e6 * best_wall / dispatched, 3)
+        if dispatched else 0.0,
     }
+
+
+def count_steps(workload, controller_name: str) -> int:
+    """``Core.step`` calls of one untimed run of the scenario."""
+    steps = 0
+    step = Core.step
+
+    def counted(core):
+        nonlocal steps
+        steps += 1
+        step(core)
+
+    Core.step = counted
+    try:
+        workload.run(runahead=make_controller(controller_name))
+    finally:
+        Core.step = step
+    return steps
 
 
 def run_benchmark(repeats: int = 3) -> Dict:
@@ -115,13 +149,19 @@ def measure_fig7_quick(workers: int = 1) -> Dict:
 
 def render(payload: Dict) -> str:
     """Human-readable table of one benchmark payload."""
-    lines = [f"{'scenario':18s} {'cycles':>10s} {'wall s':>8s} "
-             f"{'cycles/s':>12s}"]
+    lines = [f"{'scenario':18s} {'cycles':>10s} {'stepped':>9s} "
+             f"{'skipped':>8s} {'wall s':>8s} {'cycles/s':>12s} "
+             f"{'us/step':>8s} {'us/disp':>8s}"]
     for label, record in payload["scenarios"].items():
         lines.append(f"{label:18s} {record['simulated_cycles']:>10d} "
+                     f"{record['stepped_cycles']:>9d} "
+                     f"{record['skipped_share']:>8.1%} "
                      f"{record['wall_seconds']:>8.3f} "
-                     f"{record['cycles_per_second']:>12d}")
+                     f"{record['cycles_per_second']:>12d} "
+                     f"{record['us_per_stepped_cycle']:>8.2f} "
+                     f"{record['us_per_dispatched']:>8.2f}")
     lines.append(f"{'total':18s} {payload['total_simulated_cycles']:>10d} "
+                 f"{'':>9s} {'':>8s} "
                  f"{payload['total_wall_seconds']:>8.3f} "
                  f"{payload['cycles_per_second']:>12d}")
     return "\n".join(lines)
@@ -131,10 +171,11 @@ def compare(fresh: Dict, baseline: Dict, tolerance: float = 0.2) -> List[str]:
     """Compare a fresh payload against a baseline.
 
     Returns a list of regression messages (empty = within tolerance).
-    Simulated cycle counts must match *exactly* (they are deterministic
-    behaviour, not performance); throughput may regress by at most
-    ``tolerance`` relative to the baseline.  Faster-than-baseline is
-    never a failure.
+    Simulated and stepped cycle counts must match *exactly* (they are
+    deterministic: the model's behaviour and its step schedule, not
+    performance); throughput may regress by at most ``tolerance``
+    relative to the baseline.  Faster-than-baseline is never a failure,
+    so ``tolerance=1`` checks the counts alone.
     """
     problems = []
     base_scenarios = baseline.get("scenarios", {})
@@ -148,6 +189,11 @@ def compare(fresh: Dict, baseline: Dict, tolerance: float = 0.2) -> List[str]:
                 f"{label}: simulated cycles changed "
                 f"{base['simulated_cycles']} -> "
                 f"{record['simulated_cycles']} (behaviour regression!)")
+        if record.get("stepped_cycles") != base.get("stepped_cycles"):
+            problems.append(
+                f"{label}: stepped cycles changed "
+                f"{base.get('stepped_cycles')} -> "
+                f"{record.get('stepped_cycles')} (step schedule changed)")
         floor = base["cycles_per_second"] * (1.0 - tolerance)
         if record["cycles_per_second"] < floor:
             problems.append(

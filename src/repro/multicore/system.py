@@ -10,7 +10,8 @@ non-halted core once in slot order.
 
 Cycle skipping is preserved from the single-core ``Core.run`` loop but
 lifted to the system level: when *no* core reported activity, the clock
-jumps to the earliest per-core next event.  A system where one core is
+jumps to the next cycle any core's step schedule acts on
+(:func:`~repro.pipeline.core.wake_cycle`).  A system where one core is
 always busy (a streaming co-runner) therefore degrades gracefully to
 true cycle-by-cycle lockstep, while a victim-plus-idle-attacker pair
 runs as fast as a single core.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..pipeline.core import Core
+from ..pipeline.core import Core, wake_cycle
 from ..memory.hierarchy import SharedHierarchy
 
 
@@ -108,21 +109,18 @@ class MultiCoreSystem:
             now += 1
             if active:
                 continue
-            # Global cycle skip: every core idle — jump to the earliest
-            # cycle at which any of them can make progress.
-            skip_to = None
-            for slot in slots:
-                core = slot.core
-                if core.halted:
-                    continue
-                event = core._next_event()
-                if event is not None and (skip_to is None or
-                                          event < skip_to):
-                    skip_to = event
-            if skip_to is None:
+            # Global cycle skip: every core idle — jump to the next cycle
+            # the schedule of any of them acts on.
+            live = [slot.core for slot in slots if not slot.core.halted]
+            wake = wake_cycle(live, max_cycles - 1, shared.next_event())
+            if wake is None:
                 break              # system quiescent: nothing can happen
-            if skip_to > now:
-                now = skip_to
+            if wake < max_cycles:
+                # Past the ceiling the run ends and each core keeps the
+                # clock of its last step.
+                for core in live:
+                    core.skip_to(wake)
+            now = wake
         self.cycle = now
         for slot in slots:
             slot.core.stats.cycles = slot.core.cycle

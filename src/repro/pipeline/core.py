@@ -58,7 +58,7 @@ from ..obs.events import (EV_COMMIT as _EV_COMMIT,
                           EV_RA_ENTER as _EV_RA_ENTER,
                           EV_RA_EXIT as _EV_RA_EXIT,
                           EV_SQUASH as _EV_SQUASH)
-from ..runahead.base import NoRunahead, RunaheadController
+from ..runahead.base import NoRunahead, RunaheadController, resolve_hooks
 from ..runahead.checkpoint import Checkpoint
 from ..runahead.runahead_cache import RunaheadCache
 from .config import CoreConfig
@@ -91,6 +91,8 @@ _VSTORE = Opcode.VSTORE
 _FSTORE = Opcode.FSTORE
 _FU_MEM = FuKind.MEM
 _FU_BRANCH = FuKind.BRANCH
+
+_PC_SHIFT = INSTR_BYTES.bit_length() - 1   # pc -> instruction index
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -158,9 +160,13 @@ class Core:
                              "fp": self.config.rename_fp,
                              "vec": self.config.rename_vec}
 
-        self.iq: List[RobEntry] = []
-        self.lq: List[RobEntry] = []
-        self.sq: List[RobEntry] = []
+        #: Issue-queue occupancy.  An entry sits in the IQ exactly while
+        #: its state is DISPATCHED, so a count is all the IQ needs.
+        self.iq_count = 0
+        # Load/store queues in program order: retire pops the left end,
+        # a squash pops the right.
+        self.lq: Deque[RobEntry] = deque()
+        self.sq: Deque[RobEntry] = deque()
         # Front-end queue: deque because dispatch consumes from the left
         # every cycle (O(1) popleft vs O(n) list.pop(0)).
         self.frontend: Deque[_Fetched] = deque()
@@ -176,12 +182,17 @@ class Core:
         self.checkpoint: Optional[Checkpoint] = None
         self.runahead = runahead or NoRunahead()
         self.runahead.attach(self)
-        #: True when the controller keeps the base-class (accept-all)
-        #: dispatch filter — lets runahead-mode dispatch skip a virtual
-        #: call per instruction.
-        self._filter_is_default = (
-            type(self.runahead).filter_dispatch
-            is RunaheadController.filter_dispatch)
+        # Per-instruction controller hooks, ``None`` where the controller
+        # keeps the RunaheadController default (see resolve_hooks).
+        hooks = resolve_hooks(self.runahead)
+        self._filter_dispatch = hooks["filter_dispatch"]
+        self._runahead_load_fill = hooks["runahead_load_fill"]
+        self._runahead_load_override = hooks["runahead_load_override"]
+        self._on_runahead_load = hooks["on_runahead_load"]
+        self._on_normal_load = hooks["on_normal_load"]
+        self._on_pseudo_retire = hooks["on_pseudo_retire"]
+        self._normal_load_override = hooks["normal_load_override"]
+        self._on_branch_resolved = hooks["on_branch_resolved"]
         self.runahead_cache = RunaheadCache(self.config.runahead.cache_entries)
 
         self.stats = CoreStats()
@@ -254,12 +265,11 @@ class Core:
         hierarchy = self.hierarchy
         if now >= hierarchy.next_fill:
             hierarchy.apply_completed(now)
-        self.fus.new_cycle(now)
 
         if self.mode == MODE_RUNAHEAD and self.runahead.should_exit(self, now):
             self._exit_runahead(now)
 
-        if not self.rob.empty:
+        if self.rob:
             self._commit(now)
             if self.halted:
                 self.stats.cycles = now + 1
@@ -279,19 +289,55 @@ class Core:
     def run(self, max_cycles=5_000_000):
         """Run to HALT (or quiescence/ceiling); returns the stats object."""
         step = self.step
+        cores = (self,)
         while not self.halted and self.cycle < max_cycles:
             step()
             if not self._activity and not self.halted:
-                skip_to = self._next_event()
-                if skip_to is None:
+                wake = wake_cycle(cores, max_cycles - 1)
+                if wake is None:
                     break                      # quiescent: nothing can happen
-                if skip_to > self.cycle:
-                    self.cycle = skip_to
+                self.skip_to(wake)
         self.stats.cycles = self.cycle
         return self.stats
 
+    def skip_to(self, cycle):
+        """Resume at ``cycle``, the next step after an idle one.
+
+        ``cycle`` comes from :func:`wake_cycle`.  A paced core would have
+        been stepped every other cycle in between, and each of those
+        steps found the same blocked front-end head; a blocked fence
+        counts one fence stall per step, so those steps are credited.
+        """
+        if self._paced() and self.frontend[0].instr.opcode is _FENCE and \
+                (self.rob or self.mode == MODE_RUNAHEAD):
+            self.stats.fence_stalls += (cycle - self.cycle - 1) >> 1
+        self.cycle = cycle
+
+    def _paced(self):
+        """After an idle step: the front-end head was ready but could not
+        dispatch (full ROB, IQ, LQ or SQ, no free rename register, or a
+        fence), so the schedule steps every other cycle until an event
+        frees it."""
+        frontend = self.frontend
+        return bool(frontend) and frontend[0].ready_cycle < self.cycle
+
     def _next_event(self):
-        """Earliest future cycle at which anything can change."""
+        """Earliest pending event after an idle step, or ``None``.
+
+        Called with ``self.cycle`` one past the idle step.  The events
+        are the next completion, the next fill, the front-end head
+        becoming ready, fetch resuming and, in runahead mode, the
+        stalling load's return.  A head that was already ready at the
+        idle step is blocked, not pending: it makes the core
+        :meth:`_paced` instead.
+
+        The result is floored at ``self.cycle + 1``: after an idle step
+        at ``c`` the next step is never before ``c + 2``, so an event due
+        at ``c + 1`` is handled a cycle late.  That floor is part of the
+        model (docs/PERFORMANCE.md, "Step schedule"); this is the cycle
+        the schedule acts on next, not the earliest cycle at which
+        anything can change.
+        """
         best = None
         completions = self._completions
         while completions and completions[0][2].squashed:
@@ -302,16 +348,17 @@ class Core:
         event = self.hierarchy.next_event()
         if event is not None and (best is None or event < best):
             best = event
+        cycle = self.cycle
         if self.frontend:
             ready_cycle = self.frontend[0].ready_cycle
-            if best is None or ready_cycle < best:
+            if ready_cycle >= cycle and (best is None or ready_cycle < best):
                 best = ready_cycle
-        if not self.fetch_halted and self.fetch_stall_until >= self.cycle:
+        if not self.fetch_halted and self.fetch_stall_until >= cycle:
             # A fetch stall lifting exactly at the current cycle must still
             # be a wake-up source, else a skip jumps over the resume point.
             resume = self.fetch_stall_until
-            if resume <= self.cycle:
-                resume = self.cycle + 1
+            if resume <= cycle:
+                resume = cycle + 1
             if best is None or resume < best:
                 best = resume
         if self.mode == MODE_RUNAHEAD and self.checkpoint is not None:
@@ -320,7 +367,7 @@ class Core:
                 best = stall
         if best is None:
             return None
-        floor = self.cycle + 1
+        floor = cycle + 1
         return best if best > floor else floor
 
     # ----------------------------------------------------------------- commit --
@@ -328,11 +375,9 @@ class Core:
     def _commit(self, now):
         committed = 0
         width = self.config.width
-        rob_head = self.rob.head
-        while committed < width:
-            head = rob_head()
-            if head is None:
-                break
+        rob = self.rob
+        while committed < width and rob:
+            head = rob[0]
             if head.state != DONE:
                 if self.mode == MODE_NORMAL:
                     # Inline precondition of _maybe_enter_runahead: most
@@ -398,7 +443,8 @@ class Core:
         if dest is not None and dest != REG_ZERO:
             self.arch_regs[dest] = head.value if not head.inv else 0
             self.arch_inv[dest] = head.inv
-        self.runahead.on_pseudo_retire(self, head)
+        if self._on_pseudo_retire is not None:
+            self._on_pseudo_retire(self, head)
         self._retire_entry(head)
         self.stats.pseudo_retired += 1
         self.stats.transient_executed += 1
@@ -407,7 +453,7 @@ class Core:
 
     def _retire_entry(self, head):
         """Pop the head and release its resources."""
-        self.rob.pop_head()
+        self.rob.popleft()
         instr = head.instr
         rename = instr.rename_class
         if rename is not None:
@@ -415,10 +461,11 @@ class Core:
         dest = instr.dest
         if dest is not None and self.rat[dest] is head:
             self.rat[dest] = None
-        if head.is_load and head in self.lq:
-            self.lq.remove(head)
-        if head.is_store and head in self.sq:
-            self.sq.remove(head)
+        # Older entries have all retired, so a queued head is at the left.
+        if head.is_load and self.lq and self.lq[0] is head:
+            self.lq.popleft()
+        if head.is_store and self.sq and self.sq[0] is head:
+            self.sq.popleft()
 
     def _poison_stalled_head(self, head):
         """Runahead mode: a memory-level load at the head is INV'd and
@@ -491,7 +538,7 @@ class Core:
             self.trace.emit(now, _EV_RA_EXIT,
                             now - checkpoint.entry_cycle,
                             checkpoint.stalling_pc)
-        self.iq.clear()
+        self.iq_count = 0
         self.lq.clear()
         self.sq.clear()
         self.frontend.clear()
@@ -564,7 +611,8 @@ class Core:
         mispredicted = self.branch_unit.resolve(
             entry.pc, instr, entry.actual_taken, entry.actual_target,
             entry.prediction, train=train)
-        self.runahead.on_branch_resolved(self, entry, mispredicted)
+        if self._on_branch_resolved is not None:
+            self._on_branch_resolved(self, entry, mispredicted)
         if not mispredicted:
             return
         self.stats.branch_mispredicts += 1
@@ -578,7 +626,9 @@ class Core:
         squashed_in_heap = 0
         for victim in victims:
             state = victim.state
-            if state != DISPATCHED:
+            if state == DISPATCHED:
+                self.iq_count -= 1
+            else:
                 self.stats.transient_executed += 1
                 if state == ISSUED:
                     # Its completion record is still in the heap; it will
@@ -592,9 +642,13 @@ class Core:
             self.trace.emit(self.cycle, _EV_SQUASH, len(victims),
                             entry.pc)
         if victims:
-            self.iq = [e for e in self.iq if not e.squashed]
-            self.lq = [e for e in self.lq if not e.squashed]
-            self.sq = [e for e in self.sq if not e.squashed]
+            # The victims are the youngest entries: the queues' right ends.
+            lq = self.lq
+            while lq and lq[-1].squashed:
+                lq.pop()
+            sq = self.sq
+            while sq and sq[-1].squashed:
+                sq.pop()
             self._squashed_completions += squashed_in_heap
             self._compact_completions()
         # Rebuild the alias table from the surviving entries.
@@ -669,6 +723,7 @@ class Core:
         stats = self.stats
         trace = self.trace
         fus = self.fus
+        fus.new_cycle(now)          # issue is the pool's only user
         normal_mode = self.mode == MODE_NORMAL
         deferred = None
         while ready and issued < width:
@@ -693,7 +748,7 @@ class Core:
                 else:
                     deferred.append(record)
                 continue
-            self.iq.remove(entry)
+            self.iq_count -= 1
             entry.state = ISSUED
             entry.issue_cycle = now
             _heappush(self._completions,
@@ -1018,8 +1073,8 @@ class Core:
                 if inv:
                     return 0, now + latency, True
                 return _typed_load_value(as_type, value), now + latency, False
-            override = self.runahead.runahead_load_override(self, entry,
-                                                            addr, now)
+            hook = self._runahead_load_override
+            override = None if hook is None else hook(self, entry, addr, now)
             if override is not None:
                 fus.issue(_FU_MEM)
                 entry.mem_level = LEVEL_SL
@@ -1027,8 +1082,8 @@ class Core:
                 return value, now + override, False
 
         if self.mode == MODE_NORMAL:
-            override = self.runahead.normal_load_override(self, entry, addr,
-                                                          now)
+            hook = self._normal_load_override
+            override = None if hook is None else hook(self, entry, addr, now)
             if override is not None:
                 if override is BLOCKED:
                     return None
@@ -1039,22 +1094,23 @@ class Core:
 
         fus.issue(_FU_MEM)
         fill = True
-        if self.mode == MODE_RUNAHEAD:
-            fill = self.runahead.runahead_load_fill(self, entry)
+        if self.mode == MODE_RUNAHEAD and self._runahead_load_fill is not None:
+            fill = self._runahead_load_fill(self, entry)
         result = self.hierarchy.access_data(
             addr, now, fill=fill, prefetch=self.mode == MODE_RUNAHEAD)
         entry.mem_level = result.level
 
         if self.mode == MODE_RUNAHEAD:
-            self.runahead.on_runahead_load(self, entry, result)
+            if self._on_runahead_load is not None:
+                self._on_runahead_load(self, entry, result)
             if result.is_memory_level:
                 # Mutlu'03: runahead loads that miss to memory launch the
                 # prefetch but return INV without waiting.
                 self.stats.runahead_prefetches += 1
                 latency = self.config.hierarchy.l1d.latency
                 return 0, now + latency, True
-        else:
-            self.runahead.on_normal_load(self, entry, result)
+        elif self._on_normal_load is not None:
+            self._on_normal_load(self, entry, result)
 
         value = self._read_memory_word(addr, as_type)
         return value, now + result.latency, False
@@ -1084,13 +1140,14 @@ class Core:
         rob_capacity = rob.capacity
         lq = self.lq
         sq = self.sq
-        iq = self.iq
+        iq_count = self.iq_count
         rat = self.rat
+        rat_of = rat.__getitem__
         rename_free = self._rename_free
         stats = self.stats
         trace = self.trace
         runahead_mode = self.mode == MODE_RUNAHEAD
-        filtering = runahead_mode and not self._filter_is_default
+        keep = self._filter_dispatch if runahead_mode else None
         while dispatched < width and frontend:
             slot = frontend[0]
             if slot.ready_cycle > now:
@@ -1117,7 +1174,7 @@ class Core:
             if is_store and len(sq) >= sq_size:
                 break
             immediate = instr.immediate
-            if not immediate and len(iq) >= iq_size:
+            if not immediate and iq_count >= iq_size:
                 break
 
             frontend.popleft()
@@ -1129,7 +1186,7 @@ class Core:
             pending = 0
             srcs = instr.srcs
             if srcs:
-                producers = tuple(rat[s] for s in srcs)
+                producers = tuple(map(rat_of, srcs))
                 entry.src_producers = producers
                 for producer in producers:
                     if producer is not None and producer.state != DONE:
@@ -1147,24 +1204,17 @@ class Core:
                 rat[dest] = entry
             if rename is not None:
                 rename_free[rename] -= 1
-            rob.push(entry)
+            rob.append(entry)
             stats.dispatched += 1
             dispatched += 1
             if trace is not None:
                 trace.emit(now, _EV_DISPATCH, entry.seq, slot.pc)
-            self._activity = True
-
-            if self._stall_base_seq is not None:
-                depth = entry.seq - self._stall_base_seq
-                if depth > self._window_max:
-                    self._window_max = depth
 
             if immediate:
                 entry.state = DONE
                 entry.value = None
                 continue
-            if filtering and \
-                    not self.runahead.filter_dispatch(self, instr, slot.pc):
+            if keep is not None and not keep(self, instr, slot.pc):
                 # Precise runahead: outside the stall slice — complete
                 # immediately with an INV result, using no backend resources.
                 entry.filtered = True
@@ -1176,13 +1226,21 @@ class Core:
                           (entry.completion, entry.seq, entry))
                 stats.filtered_instructions += 1
                 continue
-            iq.append(entry)
+            iq_count += 1
             if pending == 0:
                 _heappush(self._ready, (entry.seq, entry))
             if is_load:
                 lq.append(entry)
             if is_store:
                 sq.append(entry)
+        self.iq_count = iq_count
+        if dispatched:
+            self._activity = True
+            # Seqs grow, so the last dispatch is the deepest.
+            if self._stall_base_seq is not None:
+                depth = self.seq - self._stall_base_seq
+                if depth > self._window_max:
+                    self._window_max = depth
 
     # ------------------------------------------------------------------- fetch --
 
@@ -1197,17 +1255,24 @@ class Core:
         width = config.width
         frontend_depth = config.frontend_depth
         frontend = self.frontend
-        program_fetch = self.program.fetch
+        # Program.fetch and MemoryHierarchy.line_of, inlined.
+        instructions = self.program.instructions
+        n_instructions = len(instructions)
         hierarchy = self.hierarchy
+        phys_base = hierarchy.phys_base
+        line_mask = ~(hierarchy.config.line_bytes - 1)
         stats = self.stats
         trace = self.trace
         while fetched < width and len(frontend) < fetch_queue:
             pc = self.fetch_pc
-            instr = program_fetch(pc)
-            if instr is None:
+            if pc & (INSTR_BYTES - 1):
+                raise ValueError(f"misaligned pc: {pc:#x}")
+            index = pc >> _PC_SHIFT
+            if not 0 <= index < n_instructions:
                 self.fetch_halted = True
                 break
-            line = hierarchy.line_of(pc)
+            instr = instructions[index]
+            line = (pc + phys_base) & line_mask
             if line != self._last_inst_line:
                 result = hierarchy.access_inst(pc, now)
                 if result.level != LEVEL_L1:
@@ -1223,7 +1288,6 @@ class Core:
             fetched += 1
             if trace is not None:
                 trace.emit(now, _EV_FETCH, pc)
-            self._activity = True
             if instr.opcode is _HALT:
                 self.fetch_halted = True
                 break
@@ -1232,6 +1296,8 @@ class Core:
                 self._last_inst_line = None
                 break
             self.fetch_pc = pc + INSTR_BYTES
+        if fetched:
+            self._activity = True
 
     # ------------------------------------------------------------------ results --
 
@@ -1283,3 +1349,47 @@ def run_on_core(program, memory_image=None, config=None, runahead=None,
                 runahead=runahead, initial_sp=initial_sp)
     core.run(max_cycles=max_cycles)
     return core
+
+
+def wake_cycle(cores, until, fill=None):
+    """Cycle of the next step after every core in ``cores`` stepped idle.
+
+    ``cores`` share one clock, one past the idle step ``c``.  With no
+    paced core (:meth:`Core._paced`) this is the earliest of their next
+    events (:meth:`Core._next_event`), or ``None`` when there is none and
+    nothing can ever happen again.
+
+    A paced core is stepped at ``c + 2``, ``c + 4``, ... until an event
+    frees its front-end head.  While no core has a ready entry to retry,
+    those steps change nothing but fence stalls, which
+    :meth:`Core.skip_to` credits, so the schedule jumps straight to the
+    first of them at or after the earliest event.  ``fill`` is the
+    earliest pending fill of the hierarchy views the cores share (a
+    multi-core system installs every view's fills each step).  The jump
+    never passes ``until``, the last cycle the caller needs reached on
+    the schedule: the last step under a cycle ceiling, or a poll the
+    caller makes between steps.
+    """
+    best = None
+    paced = polled = False
+    for core in cores:
+        event = core._next_event()
+        if event is not None and (best is None or event < best):
+            best = event
+        if core._paced():
+            paced = True
+        if core._ready:
+            polled = True
+    if not paced:
+        return best
+    floor = cores[0].cycle + 1
+    if polled:
+        return floor           # ready entries retry on every step
+    if fill is not None and (best is None or fill < best):
+        best = fill
+    # Steps fall on c + 2k: round the event up and the limit down to it.
+    wake = until - ((until - floor) & 1)
+    if best is not None and best + ((best - floor) & 1) < wake:
+        wake = best + ((best - floor) & 1)
+    return wake if wake > floor else floor
+

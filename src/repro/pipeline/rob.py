@@ -79,52 +79,52 @@ class RobEntry:
                 f"{self.instr.opcode.mnemonic}, state={self.state})")
 
 
-class ReorderBuffer:
-    """Bounded FIFO of :class:`RobEntry` (in program order)."""
+class ReorderBuffer(deque):
+    """Bounded FIFO of :class:`RobEntry` (in program order).
+
+    A ``deque`` subclass so the core's per-cycle ``len``, ``[0]``,
+    ``append`` and ``popleft`` are C calls; ``push`` is the checked
+    append for callers that do not test the capacity themselves.
+    """
+
+    __slots__ = ("capacity",)
 
     def __init__(self, capacity):
+        super().__init__()
         self.capacity = capacity
-        self._entries = deque()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
 
     @property
     def full(self):
-        return len(self._entries) >= self.capacity
+        return len(self) >= self.capacity
 
     @property
     def empty(self):
-        return not self._entries
+        return not self
 
     def head(self) -> Optional[RobEntry]:
-        return self._entries[0] if self._entries else None
+        return self[0] if self else None
 
     def push(self, entry: RobEntry):
-        if self.full:
+        if len(self) >= self.capacity:
             raise OverflowError("ROB overflow")
-        self._entries.append(entry)
+        self.append(entry)
 
     def pop_head(self) -> RobEntry:
-        return self._entries.popleft()
+        return self.popleft()
 
     def squash_younger(self, seq):
         """Remove every entry younger than ``seq``; returns the victims."""
         victims = []
-        entries = self._entries
-        while entries and entries[-1].seq > seq:
-            victim = entries.pop()
+        while self and self[-1].seq > seq:
+            victim = self.pop()
             victim.squashed = True
             victims.append(victim)
         return victims
 
     def clear(self):
         """Remove everything (runahead exit); returns the victims."""
-        victims = list(self._entries)
+        victims = list(self)
         for victim in victims:
             victim.squashed = True
-        self._entries.clear()
+        super().clear()
         return victims

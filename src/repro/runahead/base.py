@@ -13,9 +13,39 @@ pipeline, and transient execution is bounded by the ROB (Fig. 5a).
 
 from __future__ import annotations
 
+#: The per-instruction hooks.  The core looks each one up once, when it
+#: is built (:func:`resolve_hooks`), instead of calling it on every
+#: dispatch, load, pseudo-retire or branch resolution.
+CORE_HOOKS = (
+    "filter_dispatch", "runahead_load_fill", "runahead_load_override",
+    "on_runahead_load", "on_normal_load", "on_pseudo_retire",
+    "normal_load_override", "on_branch_resolved")
+
+
+def resolve_hooks(controller):
+    """``{name: hook}`` for :data:`CORE_HOOKS`: ``controller``'s bound
+    method where its class overrides the hook, ``None`` where the class
+    keeps the :class:`RunaheadController` default."""
+    cls = type(controller)
+    return {name: getattr(controller, name)
+            if getattr(cls, name) is not getattr(RunaheadController, name)
+            else None
+            for name in CORE_HOOKS}
+
 
 class RunaheadController:
-    """Default policy hooks; subclasses override selectively."""
+    """Default policy hooks; subclasses override selectively.
+
+    Hook contract: ``should_enter``, ``on_enter``, ``should_exit``,
+    ``on_exit`` and ``on_inv_branch`` are called every time.  The
+    :data:`CORE_HOOKS` are resolved once when the core is built: a hook
+    the subclass does not override is never called (the core acts on
+    the default result below), and replacing a hook after the core is
+    built does not reach that core.  ``should_exit`` is polled on
+    stepped cycles only; the step schedule wakes for
+    ``checkpoint.stalling_completion``, so an override that turns true
+    at another cycle is seen late.
+    """
 
     name = "base"
 

@@ -65,3 +65,38 @@ class TestRenderDelta:
     def test_zero_baseline_does_not_divide(self):
         table = perfbench.render_delta(payload(cps=500), payload(cps=0))
         assert "+0.0%" in table
+
+
+class TestCompare:
+    def test_stepped_cycles_must_match_exactly(self):
+        base, fresh = payload(), payload()
+        for record in base["scenarios"].values():
+            record["stepped_cycles"] = 60
+        for record in fresh["scenarios"].values():
+            record["stepped_cycles"] = 61
+        problems = perfbench.compare(fresh, base, tolerance=1.0)
+        assert problems == [f"{label}: stepped cycles changed 60 -> 61 "
+                            "(step schedule changed)" for label in "ab"]
+
+    def test_tolerance_one_checks_the_counts_alone(self):
+        slow, fast = payload(cps=1), payload(cps=1000)
+        assert perfbench.compare(slow, fast, tolerance=1.0) == []
+        assert perfbench.compare(slow, fast, tolerance=0.2)
+
+
+def test_steps_are_counted_outside_the_timed_runs():
+    from repro.pipeline.core import Core
+
+    step = Core.step
+    record = perfbench.measure_scenario("reference", "none", repeats=1)
+    assert Core.step is step
+    assert 0 < record["stepped_cycles"] <= record["simulated_cycles"]
+    assert record["skipped_share"] == round(
+        1 - record["stepped_cycles"] / record["simulated_cycles"], 4)
+    assert record["us_per_stepped_cycle"] > 0
+    assert record["us_per_dispatched"] > 0
+    payload = {"scenarios": {"reference": record},
+               "total_simulated_cycles": record["simulated_cycles"],
+               "total_wall_seconds": record["wall_seconds"],
+               "cycles_per_second": record["cycles_per_second"]}
+    assert "us/step" in perfbench.render(payload)
