@@ -12,6 +12,11 @@ wall microseconds per stepped cycle and per dispatched instruction.
 The steps are counted in one extra run with ``Core.step`` wrapped in a
 counter; the timed runs never go through the wrapper.
 
+The leak checker (:mod:`repro.verify`) is measured the same way, per
+step rather than per cycle: each ``checker/...`` row checks one target
+under one defense and reports its architectural and window steps, the
+best-of-N wall seconds and wall microseconds per step.
+
 ``python -m repro bench-perf`` emits these measurements as
 ``BENCH_core.json`` at the repo root and can compare a fresh run
 against a committed baseline with a relative tolerance (the CI perf job
@@ -43,6 +48,16 @@ SCENARIOS: Tuple[Tuple[str, str, str], ...] = (
     ("secure/zeusmp", "zeusmp", "secure"),
     ("secure/mcf", "mcf", "secure"),
     ("secure/gems", "gems", "secure"),
+)
+
+
+#: (bench label, verify target, defense): the gadget the cross-check
+#: gate spends most of its checker time on, with and without its
+#: speculation windows, and the runahead-only stale-store leak.
+CHECKER_SCENARIOS: Tuple[Tuple[str, str, str], ...] = (
+    ("checker/pht-original", "pht", "original"),
+    ("checker/pht-branch-skip", "pht", "branch-skip"),
+    ("checker/stale-store-original", "stale-store", "original"),
 )
 
 
@@ -104,6 +119,35 @@ def count_steps(workload, controller_name: str) -> int:
     return steps
 
 
+def measure_checker(target: str, defense: str, repeats: int = 3) -> Dict:
+    """Check one target ``repeats`` times; report the best wall time.
+
+    Step counts are deterministic; only the wall time varies.
+    """
+    from ..verify import check_program
+    from ..verify.targets import build_target
+
+    case = build_target(target)
+    best_wall: Optional[float] = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = check_program(case.program, case.image,
+                               secret_addrs=case.secret_addrs,
+                               initial_sp=case.initial_sp, defense=defense)
+        wall = time.perf_counter() - start
+        if best_wall is None or wall < best_wall:
+            best_wall = wall
+    steps = result.arch_steps + result.window_steps
+    return {
+        "target": target,
+        "defense": defense,
+        "arch_steps": result.arch_steps,
+        "window_steps": result.window_steps,
+        "wall_seconds": round(best_wall, 4),
+        "us_per_step": round(1e6 * best_wall / steps, 3) if steps else 0.0,
+    }
+
+
 def run_benchmark(repeats: int = 3) -> Dict:
     """Measure every scenario; returns the ``BENCH_core`` payload."""
     scenarios = {}
@@ -115,10 +159,13 @@ def run_benchmark(repeats: int = 3) -> Dict:
         scenarios[label] = record
         total_cycles += record["simulated_cycles"]
         total_wall += record["wall_seconds"]
+    checker = {label: measure_checker(target, defense, repeats=repeats)
+               for label, target, defense in CHECKER_SCENARIOS}
     return {
         "bench": "core_throughput",
         "repeats": repeats,
         "scenarios": scenarios,
+        "checker": checker,
         "total_simulated_cycles": total_cycles,
         "total_wall_seconds": round(total_wall, 4),
         "cycles_per_second": round(total_cycles / total_wall)
@@ -164,6 +211,16 @@ def render(payload: Dict) -> str:
                  f"{'':>9s} {'':>8s} "
                  f"{payload['total_wall_seconds']:>8.3f} "
                  f"{payload['cycles_per_second']:>12d}")
+    checker = payload.get("checker")
+    if checker:
+        lines.append("")
+        lines.append(f"{'checker':30s} {'arch':>8s} {'window':>9s} "
+                     f"{'wall s':>8s} {'us/step':>8s}")
+        for label, record in checker.items():
+            lines.append(f"{label:30s} {record['arch_steps']:>8d} "
+                         f"{record['window_steps']:>9d} "
+                         f"{record['wall_seconds']:>8.3f} "
+                         f"{record['us_per_step']:>8.2f}")
     return "\n".join(lines)
 
 
@@ -171,11 +228,12 @@ def compare(fresh: Dict, baseline: Dict, tolerance: float = 0.2) -> List[str]:
     """Compare a fresh payload against a baseline.
 
     Returns a list of regression messages (empty = within tolerance).
-    Simulated and stepped cycle counts must match *exactly* (they are
-    deterministic: the model's behaviour and its step schedule, not
-    performance); throughput may regress by at most ``tolerance``
-    relative to the baseline.  Faster-than-baseline is never a failure,
-    so ``tolerance=1`` checks the counts alone.
+    Simulated and stepped cycle counts, and the checker rows' arch and
+    window step counts, must match *exactly* (they are deterministic:
+    the model's behaviour and its step schedule, not performance);
+    throughput may regress by at most ``tolerance`` relative to the
+    baseline.  Faster-than-baseline is never a failure, so
+    ``tolerance=1`` checks the counts alone.
     """
     problems = []
     base_scenarios = baseline.get("scenarios", {})
@@ -202,6 +260,25 @@ def compare(fresh: Dict, baseline: Dict, tolerance: float = 0.2) -> List[str]:
                 f"(baseline {base['cycles_per_second']}/s)")
     for label in base_scenarios:
         if label not in fresh.get("scenarios", {}):
+            problems.append(f"{label}: scenario disappeared")
+    base_checker = baseline.get("checker", {})
+    fresh_checker = fresh.get("checker", {})
+    for label, record in fresh_checker.items():
+        base = base_checker.get(label)
+        if base is None:
+            problems.append(f"{label}: missing from baseline")
+            continue
+        for key in ("arch_steps", "window_steps"):
+            if record[key] != base[key]:
+                problems.append(
+                    f"{label}: {key} changed {base[key]} -> {record[key]} "
+                    f"(checker behaviour changed)")
+        if record["us_per_step"] * (1.0 - tolerance) > base["us_per_step"]:
+            problems.append(
+                f"{label}: {record['us_per_step']} us/step above "
+                f"tolerance ceiling (baseline {base['us_per_step']})")
+    for label in base_checker:
+        if label not in fresh_checker:
             problems.append(f"{label}: scenario disappeared")
     return problems
 
@@ -230,6 +307,13 @@ def history_entry(payload: Dict) -> Dict:
             for label, record in payload.get("scenarios", {}).items()
         },
     }
+    checker = payload.get("checker")
+    if checker:
+        entry["checker"] = {
+            label: {"us_per_step": record["us_per_step"],
+                    "wall_seconds": record["wall_seconds"]}
+            for label, record in checker.items()
+        }
     sweep = payload.get("fig7_quick_sweep")
     if sweep:
         entry["fig7_quick_seconds"] = sweep["wall_seconds"]

@@ -29,6 +29,7 @@ set-membership tests.
 from __future__ import annotations
 
 import enum
+import math
 
 from .registers import reg_class
 
@@ -319,6 +320,26 @@ _MASK64 = (1 << 64) - 1
 def to_unsigned64(value):
     """Wrap a Python int to an unsigned 64-bit value."""
     return value & _MASK64
+
+
+#: x86's "integer indefinite": what ``cvttsd2si`` yields for a float
+#: with no 64-bit integer value (NaN or an infinity).
+INT_INDEFINITE = 1 << 63
+
+
+def as_word(value):
+    """Unsigned 64-bit integer view of a scalar register or memory value.
+
+    Ints wrap; floats truncate toward zero and wrap, except NaN and the
+    infinities, which become :data:`INT_INDEFINITE`.  Every executor
+    (interpreter, pipeline, leak checker) converts through this, so they
+    agree on a float read as an integer.
+    """
+    if type(value) is int:
+        return value & _MASK64
+    if isinstance(value, float) and not math.isfinite(value):
+        return INT_INDEFINITE
+    return int(value) & _MASK64
 
 
 def to_signed64(value):

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from .instructions import (ALU_EVAL, INSTR_BYTES, NUM_OPCODES, WORD_BYTES,
-                           Instruction, Opcode, eval_branch, eval_int_alu,
-                           to_signed64, to_unsigned64)
+                           Instruction, Opcode, as_word, eval_branch,
+                           eval_int_alu, to_signed64, to_unsigned64)
 from .program import Program
 from .registers import (FP_CLASS, INT_CLASS, NUM_ARCH_REGS, REG_SP, REG_ZERO,
                         VEC_CLASS, make_register_file, reg_class)
@@ -62,12 +62,6 @@ def _write_word(memory, addr, value):
     memory[addr] = value
 
 
-def _as_int(value):
-    if type(value) is int:
-        return to_unsigned64(value)
-    return to_unsigned64(int(value))
-
-
 def _as_float(value):
     return float(value)
 
@@ -104,7 +98,7 @@ class Interpreter:
             return
         cls = reg_class(reg)
         if cls == INT_CLASS:
-            value = to_unsigned64(int(value))
+            value = as_word(value)
         elif cls == FP_CLASS:
             value = float(value)
         self.registers[reg] = value
@@ -163,7 +157,7 @@ def _op_load(interp, instr):
     addr = to_unsigned64(interp.read_reg(instr.srcs[0]) + instr.imm)
     if interp.accesses is not None:
         interp.accesses.append(addr)
-    interp.write_reg(instr.dest, _as_int(_read_word(interp.memory, addr)))
+    interp.write_reg(instr.dest, as_word(_read_word(interp.memory, addr)))
     return interp.pc + INSTR_BYTES
 
 
@@ -179,8 +173,8 @@ def _op_vload(interp, instr):
     addr = to_unsigned64(interp.read_reg(instr.srcs[0]) + instr.imm)
     if interp.accesses is not None:
         interp.accesses.extend((addr, addr + WORD_BYTES))
-    lane0 = _as_int(_read_word(interp.memory, addr))
-    lane1 = _as_int(_read_word(interp.memory, addr + WORD_BYTES))
+    lane0 = as_word(_read_word(interp.memory, addr))
+    lane1 = as_word(_read_word(interp.memory, addr + WORD_BYTES))
     interp.write_reg(instr.dest, (lane0, lane1))
     return interp.pc + INSTR_BYTES
 
@@ -190,7 +184,7 @@ def _op_store(interp, instr):
     addr = to_unsigned64(interp.read_reg(instr.srcs[1]) + instr.imm)
     if interp.accesses is not None:
         interp.accesses.append(addr)
-    _write_word(interp.memory, addr, _as_int(value))
+    _write_word(interp.memory, addr, as_word(value))
     return interp.pc + INSTR_BYTES
 
 
@@ -208,8 +202,8 @@ def _op_vstore(interp, instr):
     addr = to_unsigned64(interp.read_reg(instr.srcs[1]) + instr.imm)
     if interp.accesses is not None:
         interp.accesses.extend((addr, addr + WORD_BYTES))
-    _write_word(interp.memory, addr, _as_int(lanes[0]))
-    _write_word(interp.memory, addr + WORD_BYTES, _as_int(lanes[1]))
+    _write_word(interp.memory, addr, as_word(lanes[0]))
+    _write_word(interp.memory, addr + WORD_BYTES, as_word(lanes[1]))
     return interp.pc + INSTR_BYTES
 
 
@@ -269,20 +263,20 @@ def _op_vmul(interp, instr):
 
 
 def _op_vsplat(interp, instr):
-    value = _as_int(interp.read_reg(instr.srcs[0]))
+    value = as_word(interp.read_reg(instr.srcs[0]))
     interp.write_reg(instr.dest, (value, value))
     return interp.pc + INSTR_BYTES
 
 
 def _op_vextract(interp, instr):
     lanes = interp.read_reg(instr.srcs[0])
-    interp.write_reg(instr.dest, _as_int(lanes[instr.imm & 1]))
+    interp.write_reg(instr.dest, as_word(lanes[instr.imm & 1]))
     return interp.pc + INSTR_BYTES
 
 
 def _op_cond_branch(interp, instr):
-    a = _as_int(interp.read_reg(instr.srcs[0]))
-    b = _as_int(interp.read_reg(instr.srcs[1]))
+    a = as_word(interp.read_reg(instr.srcs[0]))
+    b = as_word(interp.read_reg(instr.srcs[1]))
     if eval_branch(instr.opcode, a, b):
         return instr.target
     return interp.pc + INSTR_BYTES
@@ -293,11 +287,11 @@ def _op_jmp(interp, instr):
 
 
 def _op_jr(interp, instr):
-    return _as_int(interp.read_reg(instr.srcs[0]))
+    return as_word(interp.read_reg(instr.srcs[0]))
 
 
 def _op_call(interp, instr):
-    sp = to_unsigned64(_as_int(interp.read_reg(REG_SP)) - WORD_BYTES)
+    sp = to_unsigned64(as_word(interp.read_reg(REG_SP)) - WORD_BYTES)
     if interp.accesses is not None:
         interp.accesses.append(sp)
     _write_word(interp.memory, sp, interp.pc + INSTR_BYTES)
@@ -306,18 +300,18 @@ def _op_call(interp, instr):
 
 
 def _op_ret(interp, instr):
-    sp = _as_int(interp.read_reg(REG_SP))
+    sp = as_word(interp.read_reg(REG_SP))
     if interp.accesses is not None:
         interp.accesses.append(sp)
-    next_pc = _as_int(_read_word(interp.memory, sp))
+    next_pc = as_word(_read_word(interp.memory, sp))
     interp.write_reg(REG_SP, to_unsigned64(sp + WORD_BYTES))
     return next_pc
 
 
 def _op_int_alu(interp, instr):
     srcs = instr.srcs
-    a = _as_int(interp.read_reg(srcs[0])) if srcs else 0
-    b = _as_int(interp.read_reg(srcs[1])) if len(srcs) > 1 else None
+    a = as_word(interp.read_reg(srcs[0])) if srcs else 0
+    b = as_word(interp.read_reg(srcs[1])) if len(srcs) > 1 else None
     interp.write_reg(instr.dest, ALU_EVAL[instr.op](a, b, instr.imm))
     return interp.pc + INSTR_BYTES
 

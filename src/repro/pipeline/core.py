@@ -41,7 +41,7 @@ from ..branch.predictors import make_direction_predictor
 from ..branch.rsb import ReturnStackBuffer
 from ..branch.unit import BranchUnit
 from ..isa.instructions import (ALU_EVAL, INSTR_BYTES, WORD_BYTES, FuKind,
-                                Opcode, eval_branch, to_signed64,
+                                Opcode, as_word, eval_branch, to_signed64,
                                 to_unsigned64)
 from ..isa.program import Program
 from ..isa.registers import (NUM_ARCH_REGS, REG_SP, REG_ZERO,
@@ -1316,7 +1316,7 @@ def _as_int(value):
         return value & _MASK64
     if isinstance(value, tuple):
         return to_unsigned64(value[0])
-    return to_unsigned64(int(value))
+    return as_word(value)
 
 
 def _as_vec(value):

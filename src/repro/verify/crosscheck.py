@@ -184,6 +184,43 @@ def _footprint_leak(case: GadgetCase, defense: str, max_cycles: int,
             f"transient_probe_lines={transient}")
 
 
+def cross_check_cell(case: GadgetCase, defense: str, verdict: VerifyResult,
+                     max_cycles: int = _DEFAULT_MAX_CYCLES,
+                     config: Optional[CoreConfig] = None
+                     ) -> Tuple[CellOutcome, List[str]]:
+    """Judge one checker ``verdict`` (over every window, under
+    ``defense``) against the simulator oracle.
+
+    Returns the cell and its contract violations (empty when ok).
+    """
+    flagged = not verdict.clean
+    leaked, oracle, detail = empirical_secret_leak(
+        case, defense, max_cycles=max_cycles, config=config)
+    problems = []
+    if not flagged and leaked:
+        problems.append(
+            f"{case.name}/{defense}: checker said clean but the "
+            f"simulator extracted the secret ({detail})")
+    if flagged and defense == "original" and not leaked:
+        problems.append(
+            f"{case.name}/{defense}: checker flagged "
+            f"{len(verdict.reports)} leak(s) but the simulator "
+            f"extracted nothing ({detail})")
+    if defense == "original" and case.expect_leak and not flagged:
+        problems.append(
+            f"{case.name}/original: known-leaking gadget not flagged")
+    if defense == "original" and not case.expect_leak and flagged:
+        problems.append(
+            f"{case.name}/original: known-safe gadget flagged")
+    windows = tuple(sorted({r.window for r in verdict.reports}))
+    cell = CellOutcome(
+        target=case.name, defense=defense, flagged=flagged,
+        n_reports=len(verdict.reports), windows=windows,
+        leaked=leaked, oracle=oracle, ok=not problems,
+        detail=detail if not problems else "; ".join(problems))
+    return cell, problems
+
+
 def cross_check_case(case: GadgetCase,
                      defenses: Sequence[str] = DEFAULT_DEFENSES,
                      options: Optional[VerifyOptions] = None,
@@ -193,34 +230,13 @@ def cross_check_case(case: GadgetCase,
     """Run the full contract for one target across ``defenses``."""
     result = CrossCheckResult()
     for defense in defenses:
-        verdict: VerifyResult = check_program(
+        verdict = check_program(
             case.program, case.image, secret_addrs=case.secret_addrs,
             initial_sp=case.initial_sp, defense=defense, options=options)
-        flagged = not verdict.clean
-        leaked, oracle, detail = empirical_secret_leak(
-            case, defense, max_cycles=max_cycles, config=config)
-        problems = []
-        if not flagged and leaked:
-            problems.append(
-                f"{case.name}/{defense}: checker said clean but the "
-                f"simulator extracted the secret ({detail})")
-        if flagged and defense == "original" and not leaked:
-            problems.append(
-                f"{case.name}/{defense}: checker flagged "
-                f"{len(verdict.reports)} leak(s) but the simulator "
-                f"extracted nothing ({detail})")
-        if defense == "original" and case.expect_leak and not flagged:
-            problems.append(
-                f"{case.name}/original: known-leaking gadget not flagged")
-        if defense == "original" and not case.expect_leak and flagged:
-            problems.append(
-                f"{case.name}/original: known-safe gadget flagged")
-        windows = tuple(sorted({r.window for r in verdict.reports}))
-        result.cells.append(CellOutcome(
-            target=case.name, defense=defense, flagged=flagged,
-            n_reports=len(verdict.reports), windows=windows,
-            leaked=leaked, oracle=oracle, ok=not problems,
-            detail=detail if not problems else "; ".join(problems)))
+        cell, problems = cross_check_cell(case, defense, verdict,
+                                          max_cycles=max_cycles,
+                                          config=config)
+        result.cells.append(cell)
         result.disagreements.extend(problems)
     return result
 

@@ -58,7 +58,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..isa.instructions import INSTR_BYTES, WORD_BYTES, Opcode
+from ..isa.instructions import (BRANCH_OPS, INSTR_BYTES, MEM_OPS,
+                                WORD_BYTES, Opcode)
 from ..isa.registers import REG_SP
 from .machine import (LINE_BYTES, PathState, alu_result, as_int,
                       branch_taken, line_of, mem_addr)
@@ -96,8 +97,23 @@ class VerifyOptions:
     max_window_forks: int = 6
 
 
-_STORES = (Opcode.STORE, Opcode.FSTORE, Opcode.VSTORE)
-_LOADS = (Opcode.LOAD, Opcode.FLOAD, Opcode.VLOAD)
+#: Opcodes :func:`~repro.verify.machine.alu_result` evaluates: all but
+#: control flow, memory and halt.  Most steps are integer ALU ops, so
+#: the step loops test this set first, by ``instr.op``.
+_ALU_OPS = frozenset(int(op) for op in Opcode
+                     if op not in BRANCH_OPS and op not in MEM_OPS
+                     and op is not Opcode.HALT)
+
+# Opcodes compared per step, bound once (an ``Opcode.X`` lookup costs
+# more than the comparison it feeds).
+_HALT, _JMP, _JR = Opcode.HALT, Opcode.JMP, Opcode.JR
+_CALL, _RET, _CLFLUSH = Opcode.CALL, Opcode.RET, Opcode.CLFLUSH
+_VLOAD, _FLOAD = Opcode.VLOAD, Opcode.FLOAD
+_VSTORE, _FSTORE = Opcode.VSTORE, Opcode.FSTORE
+
+#: pc -> instruction index, as :meth:`repro.isa.program.Program.fetch`.
+_PC_ALIGN = INSTR_BYTES - 1
+_PC_SHIFT = INSTR_BYTES.bit_length() - 1
 
 
 class Checker:
@@ -172,39 +188,46 @@ class Checker:
 
     def run(self) -> VerifyResult:
         state = PathState.initial(self.image, self.initial_sp)
-        program = self.program
+        instructions = self.program.instructions
+        count = len(instructions)
         limit = self.options.max_arch_steps
         while not state.halted and self.arch_steps < limit:
-            instr = program.fetch(state.pc)
-            if instr is None:
+            pc = state.pc
+            if pc & _PC_ALIGN:
+                raise ValueError(f"misaligned pc: {pc:#x}")
+            index = pc >> _PC_SHIFT
+            if not 0 <= index < count:
                 break
+            instr = instructions[index]
             self.arch_steps += 1
+            if instr.op in _ALU_OPS:
+                dest = instr.dest
+                value = alu_result(instr, state, self.arch_steps)
+                if dest:    # None, or REG_ZERO: writes are discarded
+                    state.regs[dest] = value
+                state.pc = pc + INSTR_BYTES
+                continue
             opcode = instr.opcode
-            if opcode is Opcode.HALT:
+            if opcode is _HALT:
                 break
             if instr.cond_branch:
                 self._arch_cond_branch(state, instr)
-            elif opcode is Opcode.JMP:
+            elif opcode is _JMP:
                 state.pc = instr.target
-            elif opcode is Opcode.JR:
+            elif opcode is _JR:
                 self._arch_jr(state, instr)
-            elif opcode is Opcode.CALL:
+            elif opcode is _CALL:
                 self._arch_call(state, instr)
-            elif opcode is Opcode.RET:
+            elif opcode is _RET:
                 self._arch_ret(state, instr)
-            elif opcode in _LOADS:
+            elif instr.load:
                 self._arch_load(state, instr)
-            elif opcode in _STORES:
+            elif instr.store:
                 self._arch_store(state, instr)
-            elif opcode is Opcode.CLFLUSH:
+            elif opcode is _CLFLUSH:
                 addr = mem_addr(instr, state)
                 state.flush(as_int(addr.val))
-                state.pc += INSTR_BYTES
-            else:
-                value = alu_result(instr, state, self.arch_steps)
-                if instr.dest is not None:
-                    state.write_reg(instr.dest, value)
-                state.pc += INSTR_BYTES
+                state.pc = pc + INSTR_BYTES
         reports = merge_reports(self.reports)
         return VerifyResult(
             reports=reports, defense=self.defense, windows=self.windows,
@@ -213,8 +236,8 @@ class Checker:
             suppressed=self.suppressed)
 
     def _arch_cond_branch(self, state: PathState, instr) -> None:
-        a = state.read_reg(instr.srcs[0])
-        b = state.read_reg(instr.srcs[1])
+        a = state.regs[instr.srcs[0]]
+        b = state.regs[instr.srcs[1]]
         taken = branch_taken(instr, a, b)
         if self.explore_spec and (a.slow or b.slow):
             # Resolution waits on a memory-level miss: the wrong path
@@ -234,7 +257,7 @@ class Checker:
             state.write_reg(instr.dest, clean(0))
 
     def _arch_jr(self, state: PathState, instr) -> None:
-        src = state.read_reg(instr.srcs[0])
+        src = state.regs[instr.srcs[0]]
         target = as_int(src.val) & ~3
         if self.explore_spec and src.slow:
             predicted = self.btb.get(state.pc)
@@ -250,7 +273,7 @@ class Checker:
         state.pc = target
 
     def _arch_call(self, state: PathState, instr) -> None:
-        sp = state.read_reg(REG_SP)
+        sp = state.regs[REG_SP]
         new_sp = (as_int(sp.val) - WORD_BYTES) & ~(WORD_BYTES - 1)
         state.write_word(new_sp, clean(state.pc + INSTR_BYTES))
         state.touch(new_sp, self.arch_steps)
@@ -259,7 +282,7 @@ class Checker:
         state.pc = instr.target
 
     def _arch_ret(self, state: PathState, instr) -> None:
-        sp = state.read_reg(REG_SP)
+        sp = state.regs[REG_SP]
         addr = as_int(sp.val) & ~(WORD_BYTES - 1)
         cold = not state.is_warm(addr, self.arch_steps)
         if self.explore_runahead and cold:
@@ -300,7 +323,7 @@ class Checker:
                                       fork_index=index)
         value = self._load_word(state, instr, addr, slow=cold)
         state.touch(addr, self.arch_steps)
-        if instr.opcode is Opcode.VLOAD:
+        if instr.opcode is _VLOAD:
             state.touch(addr + WORD_BYTES, self.arch_steps)
         if instr.dest is not None:
             state.write_reg(instr.dest, value)
@@ -309,7 +332,7 @@ class Checker:
     def _load_word(self, state: PathState, instr, addr: int,
                    slow: bool) -> AbsValue:
         """Read memory, applying secret taint at the source address."""
-        if instr.opcode is Opcode.VLOAD:
+        if instr.opcode is _VLOAD:
             lane0 = state.read_word(addr)
             lane1 = state.read_word(addr + WORD_BYTES)
             taint = lane0.taint | lane1.taint
@@ -321,7 +344,7 @@ class Checker:
             return value
         stored = state.read_word(addr)
         val = stored.val
-        if instr.opcode is Opcode.FLOAD:
+        if instr.opcode is _FLOAD:
             val = float(val or 0)
         else:
             val = as_int(val)
@@ -339,8 +362,8 @@ class Checker:
     def _arch_store(self, state: PathState, instr) -> None:
         addr_v = mem_addr(instr, state)
         addr = as_int(addr_v.val)
-        data = state.read_reg(instr.srcs[0])
-        if instr.opcode is Opcode.VSTORE:
+        data = state.regs[instr.srcs[0]]
+        if instr.opcode is _VSTORE:
             lanes = data.val if isinstance(data.val, tuple) \
                 else (as_int(data.val), as_int(data.val))
             for off, lane in zip((0, WORD_BYTES), lanes):
@@ -349,7 +372,7 @@ class Checker:
                                           data.slow, data.chain))
                 state.touch(addr + off, self.arch_steps)
         else:
-            val = float(data.val or 0) if instr.opcode is Opcode.FSTORE \
+            val = float(data.val or 0) if instr.opcode is _FSTORE \
                 else as_int(data.val)
             state.write_word(addr, AbsValue(val, data.taint, False,
                                             data.slow, data.chain))
@@ -384,17 +407,30 @@ class Checker:
         # runahead cache / store-queue forwarding).
         stored = set()
         work = [(state, crossed)]
-        program = self.program
+        instructions = self.program.instructions
+        count = len(instructions)
+        steps = 0
         while work:
             state, crossed = work.pop()
             while state.steps < budget and not state.halted:
-                instr = program.fetch(state.pc)
-                if instr is None:
+                pc = state.pc
+                if pc & _PC_ALIGN:
+                    raise ValueError(f"misaligned pc: {pc:#x}")
+                index = pc >> _PC_SHIFT
+                if not 0 <= index < count:
                     break
+                instr = instructions[index]
                 state.steps += 1
-                self.window_steps += 1
+                steps += 1
+                if instr.op in _ALU_OPS:
+                    dest = instr.dest
+                    value = alu_result(instr, state, state.steps)
+                    if dest:
+                        state.regs[dest] = value
+                    state.pc = pc + INSTR_BYTES
+                    continue
                 opcode = instr.opcode
-                if opcode is Opcode.HALT:
+                if opcode is _HALT:
                     break
                 if instr.cond_branch:
                     outcome = self._window_cond_branch(
@@ -402,58 +438,54 @@ class Checker:
                     if outcome is None:
                         break
                     crossed = crossed or outcome
-                elif opcode is Opcode.JMP:
+                elif opcode is _JMP:
                     state.pc = instr.target
-                elif opcode is Opcode.JR:
-                    src = state.read_reg(instr.srcs[0])
+                elif opcode is _JR:
+                    src = state.regs[instr.srcs[0]]
                     if src.inv:
                         if self.defense == "branch-skip":
                             break   # stop fetch on INV indirect control
-                        predicted = self.btb.get(state.pc)
+                        predicted = self.btb.get(pc)
                         if predicted is None:
                             break
                         crossed = True
                         state.pc = predicted
                     else:
                         state.pc = as_int(src.val) & ~3
-                elif opcode is Opcode.CALL:
+                elif opcode is _CALL:
                     # The return-address store forwards through the
                     # store queue in-window — no cache fill involved.
-                    sp = state.read_reg(REG_SP)
+                    sp = state.regs[REG_SP]
                     new_sp = (as_int(sp.val) - WORD_BYTES) & \
                         ~(WORD_BYTES - 1)
-                    state.write_word(new_sp, clean(state.pc + INSTR_BYTES))
+                    state.write_word(new_sp, clean(pc + INSTR_BYTES))
                     stored.add(new_sp)
                     state.write_reg(REG_SP, clean(new_sp))
-                    state.rsb.append(state.pc + INSTR_BYTES)
+                    state.rsb.append(pc + INSTR_BYTES)
                     state.pc = instr.target
-                elif opcode is Opcode.RET:
+                elif opcode is _RET:
                     outcome = self._window_ret(state, instr, mode,
                                                fork_pc, fork_index, crossed,
                                                stored, now)
                     if outcome is None:
                         break
                     crossed = crossed or outcome
-                elif opcode in _LOADS:
+                elif instr.load:
                     self._window_load(state, instr, mode, fork_pc,
                                       fork_index, crossed, stored, now)
-                elif opcode in _STORES:
+                elif instr.store:
                     self._window_store(state, instr, stored)
-                elif opcode is Opcode.CLFLUSH:
+                elif opcode is _CLFLUSH:
                     addr_v = mem_addr(instr, state)
                     if not addr_v.inv:
                         state.flush(as_int(addr_v.val))
-                    state.pc += INSTR_BYTES
-                else:
-                    value = alu_result(instr, state, state.steps)
-                    if instr.dest is not None:
-                        state.write_reg(instr.dest, value)
-                    state.pc += INSTR_BYTES
+                    state.pc = pc + INSTR_BYTES
+        self.window_steps += steps
 
     def _window_cond_branch(self, state, instr, forks, work):
         """Returns True if a prediction was crossed, None to stop."""
-        a = state.read_reg(instr.srcs[0])
-        b = state.read_reg(instr.srcs[1])
+        a = state.regs[instr.srcs[0]]
+        b = state.regs[instr.srcs[1]]
         if not (a.inv or b.inv):
             taken = branch_taken(instr, a, b)
             state.pc = instr.target if taken else state.pc + INSTR_BYTES
@@ -482,7 +514,7 @@ class Checker:
 
     def _window_ret(self, state, instr, mode, fork_pc, fork_index,
                     crossed, stored, now):
-        sp = state.read_reg(REG_SP)
+        sp = state.regs[REG_SP]
         if sp.inv:
             return None
         addr = as_int(sp.val) & ~(WORD_BYTES - 1)
@@ -537,7 +569,7 @@ class Checker:
 
     def _window_store(self, state, instr, stored):
         addr_v = mem_addr(instr, state)
-        data = state.read_reg(instr.srcs[0])
+        data = state.regs[instr.srcs[0]]
         if addr_v.inv or data.inv:
             # Dropped: never reaches the runahead cache / store queue.
             # A later load sees the *stale* memory value — the
@@ -545,7 +577,7 @@ class Checker:
             state.pc += INSTR_BYTES
             return
         addr = as_int(addr_v.val)
-        if instr.opcode is Opcode.VSTORE:
+        if instr.opcode is _VSTORE:
             lanes = data.val if isinstance(data.val, tuple) \
                 else (as_int(data.val), as_int(data.val))
             for off, lane in zip((0, WORD_BYTES), lanes):
@@ -554,7 +586,7 @@ class Checker:
                                           False, data.chain))
                 stored.add(addr + off)
         else:
-            val = float(data.val or 0) if instr.opcode is Opcode.FSTORE \
+            val = float(data.val or 0) if instr.opcode is _FSTORE \
                 else as_int(data.val)
             state.write_word(addr, AbsValue(val, data.taint, False, False,
                                             data.chain))

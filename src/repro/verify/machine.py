@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..isa.instructions import (ALU_EVAL, INSTR_BYTES, WORD_BYTES, Opcode,
-                                eval_branch, to_signed64, to_unsigned64)
+from ..isa.instructions import (ALU_EVAL, BRANCH_EVAL, WORD_BYTES, Opcode,
+                                as_word, to_signed64, to_unsigned64)
 from ..isa.registers import NUM_ARCH_REGS, REG_SP, REG_ZERO
-from .taint import AbsValue, ZERO, cap_chain, clean, combine
+from .taint import AbsValue, ZERO, clean, combine
 
 #: Cache-line granularity of the warm/cold model (the hierarchy's line).
 LINE_BYTES = 64
@@ -43,12 +43,31 @@ LINE_BYTES = 64
 FILL_SETTLE_STEPS = 100
 
 
+_MASK64 = (1 << 64) - 1
+#: Word-aligned 64-bit address mask.
+_WORD_ADDR = _MASK64 & ~(WORD_BYTES - 1)
+
+# Opcodes compared per step, bound once (an ``Opcode.X`` lookup costs
+# more than the comparison it feeds).
+_RDTSC = Opcode.RDTSC
+_FADD, _FSUB, _FMUL = Opcode.FADD, Opcode.FSUB, Opcode.FMUL
+_FP_ARITH = frozenset({Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV})
+_FCVT, _FMOV = Opcode.FCVT, Opcode.FMOV
+_VADD, _VMUL = Opcode.VADD, Opcode.VMUL
+_VSPLAT, _VEXTRACT = Opcode.VSPLAT, Opcode.VEXTRACT
+
+
 def line_of(addr: int) -> int:
     return addr & ~(LINE_BYTES - 1)
 
 
 class PathState:
-    """Register file, memory overlay, fill map and RSB for one path."""
+    """Register file, memory overlay, fill map and RSB for one path.
+
+    Invariant: ``regs[REG_ZERO]`` is always :data:`ZERO` --
+    :meth:`write_reg` never writes it -- so a register read is a plain
+    ``regs[reg]``.
+    """
 
     __slots__ = ("regs", "mem", "fills", "pending", "rsb", "pc", "halted",
                  "steps")
@@ -90,11 +109,6 @@ class PathState:
 
     # -- registers ---------------------------------------------------------
 
-    def read_reg(self, reg: int) -> AbsValue:
-        if reg == REG_ZERO:
-            return ZERO
-        return self.regs[reg]
-
     def write_reg(self, reg: int, value: AbsValue) -> None:
         if reg != REG_ZERO:
             self.regs[reg] = value
@@ -123,62 +137,80 @@ class PathState:
 
 
 def as_int(value) -> int:
+    """Unsigned 64-bit view of a register or memory value (a vector
+    reads as its lane 0, an unset value as 0)."""
     if type(value) is int:
-        return to_unsigned64(value)
-    if isinstance(value, float):
-        return to_unsigned64(int(value))
+        return value & _MASK64
     if isinstance(value, tuple):
-        return to_unsigned64(int(value[0]))
-    return to_unsigned64(int(value or 0))
+        value = value[0]
+    return as_word(value or 0)
 
 
 def alu_result(instr, state: PathState, step_count: int) -> AbsValue:
-    """Evaluate a non-memory, non-branch instruction with taint join."""
-    op = instr.op
-    fn = ALU_EVAL[op]
+    """Evaluate a non-memory, non-branch instruction with taint join.
+
+    The ``ALU_EVAL`` opcodes (most checker steps) take a path
+    specialised by source count: registers are read straight from
+    ``state.regs`` (see :class:`PathState`), and a result none of whose
+    sources carries taint, INV or slow is a bare ``AbsValue`` -- what
+    :func:`~repro.verify.taint.combine` builds in that case.
+    """
+    fn = ALU_EVAL[instr.op]
+    regs = state.regs
     srcs = instr.srcs
-    sources = [state.read_reg(r) for r in srcs]
     if fn is not None:
         n = instr.n_srcs
-        a = as_int(sources[0].val) if n else 0
-        b = as_int(sources[1].val) if n > 1 else None
-        return combine(fn(a, b, instr.imm), sources, instr_pc(instr, state))
+        if not n:
+            return AbsValue(fn(0, None, instr.imm))
+        x = regs[srcs[0]]
+        a = x.val
+        a = a & _MASK64 if type(a) is int else as_int(a)
+        if n == 1:
+            val = fn(a, None, instr.imm)
+            if x.taint or x.inv or x.slow:
+                return combine(val, (x,), state.pc)
+            return AbsValue(val)
+        y = regs[srcs[1]]
+        b = y.val
+        b = b & _MASK64 if type(b) is int else as_int(b)
+        val = fn(a, b, instr.imm)
+        if n == 2 and not (x.taint or x.inv or x.slow or
+                           y.taint or y.inv or y.slow):
+            return AbsValue(val)
+        return combine(val, [regs[r] for r in srcs], state.pc)
     opcode = instr.opcode
-    if opcode is Opcode.RDTSC:
+    if opcode is _RDTSC:
         return clean(step_count)
-    if opcode in (Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV):
+    sources = [regs[r] for r in srcs]
+    if opcode in _FP_ARITH:
         a, b = float(sources[0].val or 0), float(sources[1].val or 0)
-        if opcode is Opcode.FADD:
+        if opcode is _FADD:
             val = a + b
-        elif opcode is Opcode.FSUB:
+        elif opcode is _FSUB:
             val = a - b
-        elif opcode is Opcode.FMUL:
+        elif opcode is _FMUL:
             val = a * b
         else:
             val = a / b if b else float("inf")
-        return combine(val, sources, instr_pc(instr, state))
-    if opcode is Opcode.FCVT:
-        return combine(float(to_signed64(as_int(sources[0].val))), sources,
-                       instr_pc(instr, state))
-    if opcode is Opcode.FMOV:
-        return combine(float(sources[0].val or 0), sources,
-                       instr_pc(instr, state))
-    if opcode in (Opcode.VADD, Opcode.VMUL):
+    elif opcode is _FCVT:
+        val = float(to_signed64(as_int(sources[0].val)))
+    elif opcode is _FMOV:
+        val = float(sources[0].val or 0)
+    elif opcode is _VADD or opcode is _VMUL:
         a = _as_vec(sources[0].val)
         b = _as_vec(sources[1].val)
-        if opcode is Opcode.VADD:
+        if opcode is _VADD:
             val = (to_unsigned64(a[0] + b[0]), to_unsigned64(a[1] + b[1]))
         else:
             val = (to_unsigned64(a[0] * b[0]), to_unsigned64(a[1] * b[1]))
-        return combine(val, sources, instr_pc(instr, state))
-    if opcode is Opcode.VSPLAT:
+    elif opcode is _VSPLAT:
         lane = as_int(sources[0].val)
-        return combine((lane, lane), sources, instr_pc(instr, state))
-    if opcode is Opcode.VEXTRACT:
-        return combine(_as_vec(sources[0].val)[instr.imm & 1], sources,
-                       instr_pc(instr, state))
-    # nop / fence / halt produce nothing.
-    return ZERO
+        val = (lane, lane)
+    elif opcode is _VEXTRACT:
+        val = _as_vec(sources[0].val)[instr.imm & 1]
+    else:
+        return ZERO     # nop / fence / halt produce nothing
+    return combine(val, sources, state.pc)
 
 
 def _as_vec(value):
@@ -187,24 +219,16 @@ def _as_vec(value):
     return (as_int(value), as_int(value))
 
 
-def instr_pc(instr, state: PathState) -> int:
-    # The current pc is tracked on the state; instructions are
-    # position-independent objects.
-    return state.pc
-
-
 def mem_addr(instr, state: PathState) -> AbsValue:
     """Effective address value (base + imm) with annotations joined."""
-    if instr.opcode in (Opcode.STORE, Opcode.FSTORE, Opcode.VSTORE):
-        base = state.read_reg(instr.srcs[1])
-    else:
-        base = state.read_reg(instr.srcs[0])
-    val = to_unsigned64(as_int(base.val) + instr.imm) & ~(WORD_BYTES - 1)
+    base = state.regs[instr.srcs[1] if instr.store else instr.srcs[0]]
+    val = base.val
+    val = ((val if type(val) is int else as_int(val)) + instr.imm) & _WORD_ADDR
     return AbsValue(val, base.taint, base.inv, base.slow, base.chain)
 
 
 def branch_taken(instr, a: AbsValue, b: AbsValue) -> bool:
-    return eval_branch(instr.opcode, as_int(a.val), as_int(b.val))
-
-
-NEXT = INSTR_BYTES
+    x, y = a.val, b.val
+    return BRANCH_EVAL[instr.op](
+        x & _MASK64 if type(x) is int else as_int(x),
+        y & _MASK64 if type(y) is int else as_int(y))

@@ -100,3 +100,54 @@ def test_steps_are_counted_outside_the_timed_runs():
                "total_wall_seconds": record["wall_seconds"],
                "cycles_per_second": record["cycles_per_second"]}
     assert "us/step" in perfbench.render(payload)
+
+
+class TestCheckerRows:
+    def _with_checker(self, window_steps=200, us=2.0):
+        p = payload()
+        p["checker"] = {"checker/x": {
+            "target": "x", "defense": "original", "arch_steps": 10,
+            "window_steps": window_steps, "wall_seconds": 0.1,
+            "us_per_step": us}}
+        return p
+
+    def test_step_counts_must_match_exactly(self):
+        problems = perfbench.compare(self._with_checker(window_steps=201),
+                                     self._with_checker(), tolerance=1.0)
+        assert problems == ["checker/x: window_steps changed 200 -> 201 "
+                            "(checker behaviour changed)"]
+
+    def test_tolerance_bounds_the_cost_per_step(self):
+        slow, fast = self._with_checker(us=9.0), self._with_checker(us=2.0)
+        assert perfbench.compare(slow, fast, tolerance=1.0) == []
+        assert perfbench.compare(slow, fast, tolerance=0.2)
+        assert perfbench.compare(fast, slow, tolerance=0.2) == []
+
+    def test_missing_and_vanished_rows_are_flagged(self):
+        assert perfbench.compare(self._with_checker(), payload()) == \
+            ["checker/x: missing from baseline"]
+        assert perfbench.compare(payload(), self._with_checker()) == \
+            ["checker/x: scenario disappeared"]
+
+    def test_history_keeps_the_cost_per_step(self):
+        entry = perfbench.append_history(self._with_checker())
+        assert entry["checker"] == {
+            "checker/x": {"us_per_step": 2.0, "wall_seconds": 0.1}}
+
+
+def test_checker_row_counts_the_steps_of_one_check():
+    from repro.verify import check_program
+    from repro.verify.targets import build_target
+
+    record = perfbench.measure_checker("stale-store", "original",
+                                       repeats=1)
+    case = build_target("stale-store")
+    result = check_program(case.program, case.image,
+                           secret_addrs=case.secret_addrs,
+                           initial_sp=case.initial_sp, defense="original")
+    assert (record["arch_steps"], record["window_steps"]) == \
+        (result.arch_steps, result.window_steps)
+    assert record["us_per_step"] > 0
+    table = perfbench.render({**payload(scenarios=()),
+                              "checker": {"checker/stale": record}})
+    assert "checker/stale" in table

@@ -15,7 +15,8 @@ from repro.harness.spec import Trial
 from repro.verify.crosscheck import (DEFAULT_DEFENSES, cross_check_case,
                                      empirical_secret_leak,
                                      make_defense_controller)
-from repro.verify.report import LeakReport, merge_reports
+from repro.verify.engine import Checker
+from repro.verify.report import WINDOWS, LeakReport, merge_reports
 from repro.verify.targets import build_target
 
 #: One gadget per shape: probe-loop attack, its benign twin, and the
@@ -79,3 +80,44 @@ class TestShardFanOut:
             run_trial(Trial("verify", {"target": "stale-store",
                                        "shard": [0, 2],
                                        "cross_check": True}))
+
+
+class TestOneCheckPerTrial:
+    """A cross-checked ``verify`` trial judges the verdict it already
+    computed instead of checking the program a second time."""
+
+    def _run(self, monkeypatch, params):
+        calls = []
+        run = Checker.run
+
+        def counted(checker):
+            calls.append(checker.windows)
+            return run(checker)
+        monkeypatch.setattr(Checker, "run", counted)
+        record = run_trial(Trial("verify", {"target": "stale-store",
+                                            "cross_check": True, **params}))
+        return record, calls
+
+    def test_default_windows_run_the_checker_once(self, monkeypatch):
+        record, calls = self._run(monkeypatch, {})
+        assert calls == [WINDOWS]
+        assert record["ok"] and record["cross_check"]["flagged"]
+
+    @pytest.mark.parametrize("windows", (["runahead"], ["speculation"]))
+    def test_window_subset_still_judges_the_full_window_verdict(
+            self, monkeypatch, windows):
+        full, _ = self._run(monkeypatch, {})
+        record, calls = self._run(monkeypatch, {"windows": windows})
+        assert calls == [tuple(windows), WINDOWS]
+        assert record["cross_check"] == full["cross_check"]
+        assert record["ok"] == full["ok"]
+        assert record["disagreements"] == full["disagreements"]
+
+    def test_cell_equals_the_cross_check_case_cell(self):
+        record = run_trial(Trial("verify", {"target": "stale-store",
+                                            "defense": "branch-skip",
+                                            "cross_check": True}))
+        case = cross_check_case(build_target("stale-store"),
+                                defenses=("branch-skip",))
+        assert record["cross_check"] == case.cells[0].to_dict()
+        assert record["disagreements"] == case.disagreements
