@@ -17,6 +17,12 @@ step rather than per cycle: each ``checker/...`` row checks one target
 under one defense and reports its architectural and window steps, the
 best-of-N wall seconds and wall microseconds per step.
 
+Building the machine is measured too: each ``construct/...`` row times
+a batch of constructions and reports wall microseconds per unit built
+(one ``Core`` with the paper configuration; one instruction of a
+``.repeat 1500, nop`` sled program).  Short trials spend most of their
+time there, not in the step loop.
+
 ``python -m repro bench-perf`` emits these measurements as
 ``BENCH_core.json`` at the repo root and can compare a fresh run
 against a committed baseline with a relative tolerance (the CI perf job
@@ -59,6 +65,19 @@ CHECKER_SCENARIOS: Tuple[Tuple[str, str, str], ...] = (
     ("checker/pht-branch-skip", "pht", "branch-skip"),
     ("checker/stale-store-original", "stale-store", "original"),
 )
+
+
+#: The sled of the construction row: the nop run of the paper's
+#: ``clflush; load; nop-sled`` window programs and the checker targets'
+#: settle padding.
+SLED_SOURCE = """
+    li   r1, 1
+    .repeat 1500, nop
+    halt
+"""
+
+#: Constructions per timed batch of a ``construct/...`` row.
+CONSTRUCT_BATCH = 20
 
 
 def measure_scenario(workload_name: str, controller_name: str,
@@ -148,6 +167,47 @@ def measure_checker(target: str, defense: str, repeats: int = 3) -> Dict:
     }
 
 
+def _best_batch_wall(build, repeats: int) -> float:
+    """Best-of-``repeats`` wall seconds of ``CONSTRUCT_BATCH`` builds."""
+    best_wall: Optional[float] = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(CONSTRUCT_BATCH):
+            build()
+        wall = time.perf_counter() - start
+        if best_wall is None or wall < best_wall:
+            best_wall = wall
+    return best_wall
+
+
+def measure_construction(repeats: int = 3) -> Dict:
+    """The ``construct/...`` rows: what building a machine costs.
+
+    ``units`` is the number of things one build makes (checked exactly
+    by :func:`compare`); ``us_per_unit`` is best-of-N wall microseconds
+    per unit.
+    """
+    from ..isa.assembler import assemble
+    from ..pipeline.config import CoreConfig
+
+    program = assemble(SLED_SOURCE)
+    config = CoreConfig.paper()
+    rows = {}
+    for label, unit, units, build in (
+            ("construct/core-paper", "core", 1,
+             lambda: Core(program, config=config)),
+            ("construct/assemble-sled", "instruction", len(program),
+             lambda: assemble(SLED_SOURCE))):
+        wall = _best_batch_wall(build, repeats)
+        rows[label] = {
+            "unit": unit,
+            "units": units,
+            "wall_seconds": round(wall, 4),
+            "us_per_unit": round(1e6 * wall / (CONSTRUCT_BATCH * units), 4),
+        }
+    return rows
+
+
 def run_benchmark(repeats: int = 3) -> Dict:
     """Measure every scenario; returns the ``BENCH_core`` payload."""
     scenarios = {}
@@ -166,6 +226,7 @@ def run_benchmark(repeats: int = 3) -> Dict:
         "repeats": repeats,
         "scenarios": scenarios,
         "checker": checker,
+        "construct": measure_construction(repeats=repeats),
         "total_simulated_cycles": total_cycles,
         "total_wall_seconds": round(total_wall, 4),
         "cycles_per_second": round(total_cycles / total_wall)
@@ -221,6 +282,16 @@ def render(payload: Dict) -> str:
                          f"{record['window_steps']:>9d} "
                          f"{record['wall_seconds']:>8.3f} "
                          f"{record['us_per_step']:>8.2f}")
+    construct = payload.get("construct")
+    if construct:
+        lines.append("")
+        lines.append(f"{'construct':30s} {'unit':>12s} {'units':>6s} "
+                     f"{'wall s':>8s} {'us/unit':>8s}")
+        for label, record in construct.items():
+            lines.append(f"{label:30s} {record['unit']:>12s} "
+                         f"{record['units']:>6d} "
+                         f"{record['wall_seconds']:>8.3f} "
+                         f"{record['us_per_unit']:>8.3f}")
     return "\n".join(lines)
 
 
@@ -228,12 +299,12 @@ def compare(fresh: Dict, baseline: Dict, tolerance: float = 0.2) -> List[str]:
     """Compare a fresh payload against a baseline.
 
     Returns a list of regression messages (empty = within tolerance).
-    Simulated and stepped cycle counts, and the checker rows' arch and
-    window step counts, must match *exactly* (they are deterministic:
-    the model's behaviour and its step schedule, not performance);
-    throughput may regress by at most ``tolerance`` relative to the
-    baseline.  Faster-than-baseline is never a failure, so
-    ``tolerance=1`` checks the counts alone.
+    Simulated and stepped cycle counts, the checker rows' arch and
+    window step counts and the construction rows' unit counts must
+    match *exactly* (they are deterministic: the model's behaviour and
+    its step schedule, not performance); throughput may regress by at
+    most ``tolerance`` relative to the baseline.  Faster-than-baseline
+    is never a failure, so ``tolerance=1`` checks the counts alone.
     """
     problems = []
     base_scenarios = baseline.get("scenarios", {})
@@ -280,6 +351,24 @@ def compare(fresh: Dict, baseline: Dict, tolerance: float = 0.2) -> List[str]:
     for label in base_checker:
         if label not in fresh_checker:
             problems.append(f"{label}: scenario disappeared")
+    base_construct = baseline.get("construct", {})
+    fresh_construct = fresh.get("construct", {})
+    for label, record in fresh_construct.items():
+        base = base_construct.get(label)
+        if base is None:
+            problems.append(f"{label}: missing from baseline")
+            continue
+        if record["units"] != base["units"]:
+            problems.append(
+                f"{label}: {record['unit']} count changed {base['units']} "
+                f"-> {record['units']} (what is built changed)")
+        if record["us_per_unit"] * (1.0 - tolerance) > base["us_per_unit"]:
+            problems.append(
+                f"{label}: {record['us_per_unit']} us/{record['unit']} "
+                f"above tolerance ceiling (baseline {base['us_per_unit']})")
+    for label in base_construct:
+        if label not in fresh_construct:
+            problems.append(f"{label}: scenario disappeared")
     return problems
 
 
@@ -314,6 +403,10 @@ def history_entry(payload: Dict) -> Dict:
                     "wall_seconds": record["wall_seconds"]}
             for label, record in checker.items()
         }
+    construct = payload.get("construct")
+    if construct:
+        entry["construct"] = {label: {"us_per_unit": record["us_per_unit"]}
+                              for label, record in construct.items()}
     sweep = payload.get("fig7_quick_sweep")
     if sweep:
         entry["fig7_quick_seconds"] = sweep["wall_seconds"]

@@ -15,7 +15,9 @@ Directives:
 
 * ``label:`` — define a code label (may share a line with an instruction).
 * ``.repeat N, <instruction>`` — emit N copies of one instruction (used
-  for the nop sleds of Figs. 10 and 11).
+  for the nop sleds of Figs. 10 and 11).  The body is parsed once and
+  the copies share one :class:`~repro.isa.instructions.Instruction`;
+  errors in it report the directive's line.
 
 Operand kinds per opcode follow the reference table in
 :func:`assemble`'s implementation; immediates accept decimal, hex and
@@ -175,15 +177,17 @@ def assemble(source, symbols=None, memory_image=None):
         symbols = memory_image.symbols
     symbols = dict(symbols or {})
 
-    # Pass 1: expand directives, collect labels and raw statements.
-    statements: List[Tuple[int, str]] = []  # (lineno, instruction text)
+    # Pass 1: collect labels and raw statements.  A ``.repeat`` stays one
+    # run of ``count`` copies; a plain instruction is a run of one.
+    runs: List[Tuple[int, str, int]] = []  # (lineno, instruction text, count)
     labels: Dict[str, int] = {}
+    n_instructions = 0
     for lineno, line in enumerate(source.splitlines(), start=1):
         line_labels, code = _split_statements(line)
         for label in line_labels:
             if label in labels:
                 raise AssemblyError(lineno, f"duplicate label: {label!r}")
-            labels[label] = len(statements) * INSTR_BYTES
+            labels[label] = n_instructions * INSTR_BYTES
         if not code:
             continue
         if code.startswith(".repeat"):
@@ -199,17 +203,21 @@ def assemble(source, symbols=None, memory_image=None):
             instr_text = instr_text.strip()
             if not instr_text:
                 raise AssemblyError(lineno, ".repeat needs an instruction")
-            statements.extend((lineno, instr_text) for _ in range(count))
+            if count:
+                runs.append((lineno, instr_text, count))
+                n_instructions += count
         elif code.startswith("."):
             raise AssemblyError(lineno, f"unknown directive: {code.split()[0]!r}")
         else:
-            statements.append((lineno, code))
+            runs.append((lineno, code, 1))
+            n_instructions += 1
 
-    # Pass 2: parse and resolve.
+    # Pass 2: parse and resolve each run once.  The copies of a run share
+    # one Instruction, which is immutable by convention.
     from .registers import REG_SP
 
     instructions = []
-    for index, (lineno, text) in enumerate(statements):
+    for lineno, text, count in runs:
         opcode, dest, srcs, imm, target_label = _parse_instruction(
             text, symbols, lineno)
         if opcode in (Opcode.CALL, Opcode.RET):
@@ -222,7 +230,7 @@ def assemble(source, symbols=None, memory_image=None):
             if target_label not in labels:
                 raise AssemblyError(lineno, f"unknown label: {target_label!r}")
             target = labels[target_label]
-        instructions.append(
-            Instruction(opcode=opcode, dest=dest, srcs=srcs, imm=imm,
-                        target=target))
+        instruction = Instruction(opcode=opcode, dest=dest, srcs=srcs,
+                                  imm=imm, target=target)
+        instructions.extend([instruction] * count)
     return Program(instructions, labels=labels, symbols=symbols)

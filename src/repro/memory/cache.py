@@ -63,12 +63,22 @@ class CacheStats:
 
 
 class SetAssociativeCache:
-    """One level of set-associative cache with pluggable replacement."""
+    """One level of set-associative cache with pluggable replacement.
+
+    Sets are allocated on their first fill: ``_sets`` maps set index to
+    that set's way list and holds only sets that were ever filled (since
+    the last :meth:`reset`).  A short trial touches a few dozen of the
+    paper L3's 8,192 sets, so building a machine costs what the trial
+    touches, not what the geometry models.  ``probe``, ``lookup`` and
+    ``invalidate`` treat an absent set exactly as an empty one and never
+    create it, and the replacement policy sees the same call sequence as
+    with every set allocated up front.
+    """
 
     def __init__(self, config: CacheConfig, rng_seed=1):
         self.config = config
         self._policy = make_policy(config.replacement, seed=rng_seed)
-        self._sets = [OrderedDict() for _ in range(config.n_sets)]
+        self._sets = {}
         self._set_shift = (config.line_bytes - 1).bit_length()
         self._set_mask = config.n_sets - 1
         if config.n_sets & self._set_mask:
@@ -82,8 +92,9 @@ class SetAssociativeCache:
         return addr & ~(self.config.line_bytes - 1)
 
     def _set_and_tag(self, addr):
+        """Return (way list, tag); an absent set reads as the empty ``()``."""
         line = addr >> self._set_shift
-        return self._sets[line & self._set_mask], line
+        return self._sets.get(line & self._set_mask, ()), line
 
     # -- operations --------------------------------------------------------------
 
@@ -110,8 +121,12 @@ class SetAssociativeCache:
 
     def fill(self, addr):
         """Insert the line holding ``addr``; returns the evicted line or None."""
-        ways, tag = self._set_and_tag(addr)
-        if tag in ways:
+        tag = addr >> self._set_shift
+        index = tag & self._set_mask
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = OrderedDict()
+        elif tag in ways:
             self._policy.on_hit(ways, tag)
             return None
         evicted = None
@@ -135,17 +150,28 @@ class SetAssociativeCache:
 
     def occupancy(self):
         """Total number of resident lines."""
-        return sum(len(ways) for ways in self._sets)
+        return sum(len(ways) for ways in self._sets.values())
 
     def resident_lines(self):
-        """Return all resident line addresses (for tests and analysis)."""
+        """Return all resident line addresses in set-index order (for tests
+        and analysis)."""
         lines = []
-        for ways in self._sets:
-            lines.extend(tag << self._set_shift for tag in ways)
+        for index in sorted(self._sets):
+            lines.extend(tag << self._set_shift for tag in self._sets[index])
         return lines
+
+    def ways_by_set(self):
+        """Every set's tags in recency order (eviction candidate first),
+        indexed by set; a set never filled is an empty list."""
+        return [list(self._sets.get(index, ()))
+                for index in range(self.config.n_sets)]
+
+    def allocated_sets(self):
+        """How many sets have been allocated (filled at least once since the
+        last :meth:`reset`); probes, lookups and invalidations add none."""
+        return len(self._sets)
 
     def reset(self):
         """Drop all contents and statistics."""
-        for ways in self._sets:
-            ways.clear()
+        self._sets.clear()
         self.stats = CacheStats()

@@ -151,3 +151,48 @@ def test_checker_row_counts_the_steps_of_one_check():
     table = perfbench.render({**payload(scenarios=()),
                               "checker": {"checker/stale": record}})
     assert "checker/stale" in table
+
+
+class TestConstructionRows:
+    def _with_construct(self, units=1502, us=0.05):
+        p = payload()
+        p["construct"] = {"construct/x": {
+            "unit": "instruction", "units": units, "wall_seconds": 0.01,
+            "us_per_unit": us}}
+        return p
+
+    def test_unit_counts_must_match_exactly(self):
+        problems = perfbench.compare(self._with_construct(units=1503),
+                                     self._with_construct(), tolerance=1.0)
+        assert problems == ["construct/x: instruction count changed 1502 "
+                            "-> 1503 (what is built changed)"]
+
+    def test_tolerance_bounds_the_cost_per_unit(self):
+        slow, fast = self._with_construct(us=0.5), self._with_construct()
+        assert perfbench.compare(slow, fast, tolerance=1.0) == []
+        assert perfbench.compare(slow, fast, tolerance=0.2)
+        assert perfbench.compare(fast, slow, tolerance=0.2) == []
+
+    def test_missing_and_vanished_rows_are_flagged(self):
+        assert perfbench.compare(self._with_construct(), payload()) == \
+            ["construct/x: missing from baseline"]
+        assert perfbench.compare(payload(), self._with_construct()) == \
+            ["construct/x: scenario disappeared"]
+
+    def test_history_keeps_the_cost_per_unit(self):
+        entry = perfbench.append_history(self._with_construct())
+        assert entry["construct"] == {"construct/x": {"us_per_unit": 0.05}}
+
+
+def test_construction_rows_count_what_they_build():
+    from repro.isa import Opcode, assemble
+
+    rows = perfbench.measure_construction(repeats=1)
+    assert set(rows) == {"construct/core-paper", "construct/assemble-sled"}
+    assert rows["construct/core-paper"]["units"] == 1
+    sled = assemble(perfbench.SLED_SOURCE)
+    assert rows["construct/assemble-sled"]["units"] == len(sled) == 1502
+    assert sum(i.opcode is Opcode.NOP for i in sled) == 1500
+    assert all(row["us_per_unit"] > 0 for row in rows.values())
+    table = perfbench.render({**payload(scenarios=()), "construct": rows})
+    assert "construct/assemble-sled" in table

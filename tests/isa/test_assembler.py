@@ -131,6 +131,89 @@ class TestDirectives:
         with pytest.raises(AssemblyError, match="unknown directive"):
             assemble(".align 8")
 
+class TestRepeatRuns:
+    """A ``.repeat`` is parsed once and its copies share one Instruction;
+    errors, line numbers and label addresses stay as if every copy were
+    its own line."""
+
+    def test_bad_mnemonic_reports_directive_line(self):
+        with pytest.raises(AssemblyError, match="unknown mnemonic") as info:
+            assemble("nop\nnop\n.repeat 4, bogus r1\nhalt")
+        assert info.value.lineno == 3
+
+    def test_pass_one_error_is_raised_first(self):
+        # The duplicate label sits on a later line than the bad repeat
+        # body, but labels are collected before any statement is parsed.
+        with pytest.raises(AssemblyError, match="duplicate label") as info:
+            assemble(".repeat 2, bogus\nx: nop\nx: halt")
+        assert info.value.lineno == 3
+
+    def test_earlier_parse_error_wins(self):
+        with pytest.raises(AssemblyError, match="unknown mnemonic") as info:
+            assemble("frob\n.repeat 2, bogus")
+        assert info.value.lineno == 1
+
+    def test_repeat_zero_never_parses_body(self):
+        program = assemble(".repeat 0, bogus\nhalt")
+        assert [i.opcode for i in program] == [Opcode.HALT]
+
+    def test_repeat_jump_resolves_forward_label(self):
+        program = assemble(".repeat 3, jmp later\nnop\nlater: halt")
+        assert program.address_of("later") == 16
+        assert [i.target for i in program.instructions[:3]] == [16] * 3
+        assert all(i.opcode is Opcode.JMP for i in program.instructions[:3])
+
+    def test_labels_after_repeats_keep_addresses(self):
+        program = assemble("""
+        start:
+            .repeat 5, nop
+        mid: li r1, 1
+            .repeat 0, nop
+            .repeat 2, addi r1, r1, 1
+        end:
+            halt
+        """)
+        assert program.labels == {"start": 0, "mid": 20, "end": 32}
+        assert len(program) == 9
+        assert program.fetch(20).opcode is Opcode.LI
+        assert program.fetch(32).opcode is Opcode.HALT
+
+    def test_copies_equal_separately_written_lines(self):
+        repeated = assemble("top: .repeat 3, addi r2, r2, 7\nbne r2, r0, top")
+        written = assemble("top: addi r2, r2, 7\naddi r2, r2, 7\n"
+                           "addi r2, r2, 7\nbne r2, r0, top")
+        assert repeated.instructions == written.instructions
+        assert repeated.labels == written.labels
+
+
+def _instruction_fields(program):
+    return [(i.opcode, i.dest, i.srcs, i.imm, i.target)
+            for i in program.instructions]
+
+
+def test_shared_instructions_survive_simulation_and_checking():
+    """The copies of a ``.repeat`` are one shared Instruction, so nothing
+    downstream may mutate an instruction: run a sled program through the
+    runahead core and the leak checker and compare every field."""
+    from repro.pipeline import Core, CoreConfig
+    from repro.verify import check_program
+    from repro.verify.crosscheck import make_defense_controller
+    from repro.verify.targets import build_target
+
+    case = build_target("stale-store")
+    sled = case.program.instructions
+    assert len({id(i) for i in sled}) < len(sled) - 1000   # runs are shared
+    before = _instruction_fields(case.program)
+    core = Core(case.program, memory_image=case.image,
+                config=CoreConfig.paper(),
+                runahead=make_defense_controller("original"),
+                initial_sp=case.initial_sp, warm_icache=True)
+    core.run(max_cycles=200_000)
+    assert core.halted
+    check_program(case.program, case.image, secret_addrs=case.secret_addrs,
+                  initial_sp=case.initial_sp, defense="original")
+    assert _instruction_fields(case.program) == before
+
 
 class TestCallRet:
     def test_call_and_ret_use_stack_pointer(self):

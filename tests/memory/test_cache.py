@@ -107,7 +107,7 @@ class TestOccupancyInvariants:
         for index in line_indices:
             cache.fill(index * 64)
             assert cache.occupancy() <= cache.config.n_lines
-            for ways in cache._sets:
+            for ways in cache.ways_by_set():
                 assert len(ways) <= cache.config.assoc
 
     @given(st.lists(st.tuples(st.booleans(),

@@ -244,15 +244,18 @@ class TestCrossCoreVisibility:
 
 
 def hierarchy_snapshot(shared):
-    """Full observable state: residency *and* recency order and stats."""
+    """Full observable state: residency *and* recency order, allocated
+    sets and stats."""
     state = []
     for view in shared.views:
         for cache in (view.l1i, view.l1d, view.l2):
-            state.append([list(ways) for ways in cache._sets])
+            state.append(cache.ways_by_set())
+            state.append(cache.allocated_sets())
             state.append(dataclasses.asdict(cache.stats))
         state.append(dict(view._pending))
         state.append(dataclasses.asdict(view.stats))
-    state.append([list(ways) for ways in shared.l3._sets])
+    state.append(shared.l3.ways_by_set())
+    state.append(shared.l3.allocated_sets())
     state.append(dataclasses.asdict(shared.l3.stats))
     return repr(state)
 
